@@ -18,11 +18,11 @@
 // not ok — CI doubles as the >=1024-concurrent-connections gate.
 //
 // A third section compares the two classify() engines on one replica —
-// packed block-diagonal batching vs the per-item loop — both directly
-// (threads=1, same replica count) and at the serving layer, and writes the
-// comparison to BENCH_batch.json. The process exits nonzero if the engines
-// disagree (>1e-9 relative) or the packed serve point never packed a batch,
-// so CI doubles as an equivalence gate.
+// packed block-diagonal batching vs the per-item loop (threads=1, same
+// replica count) — adds one micro-batched serving point (the server always
+// packs), and writes both to BENCH_batch.json. The process exits nonzero if
+// the engines disagree (>1e-9 relative) or the serve point never packed a
+// batch, so CI doubles as an equivalence gate.
 //
 // Flags:
 //   --samples N    scan requests per sweep point (default 400)
@@ -58,6 +58,7 @@
 #include "magic/classifier.hpp"
 #include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
+#include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "util/string_util.hpp"
@@ -148,14 +149,12 @@ std::vector<acfg::Acfg> make_workload(std::size_t count, std::uint64_t seed,
 
 SweepPoint run_point(core::MagicClassifier& clf,
                      const std::vector<acfg::Acfg>& workload,
-                     std::size_t workers, bool batched,
-                     core::PredictEngine engine = core::PredictEngine::Packed) {
+                     std::size_t workers, bool batched) {
   serve::ServeConfig config;
   config.workers = workers;
   config.queue_capacity = workload.size() + 1;  // sweep measures throughput, not sheds
   config.max_batch = batched ? 8 : 1;
   config.batch_window = std::chrono::microseconds(batched ? 2000 : 0);
-  config.engine = engine;
   serve::InferenceServer server(clf, config);
 
   std::vector<serve::PendingVerdict> handles;
@@ -226,7 +225,7 @@ bool raise_nofile_limit(rlim_t need) {
 /// `connections` concurrent clients, one base64 scan request per client
 /// (all pipelined before any response is read, so every connection is
 /// simultaneously active).
-ConnectionPoint run_connection_point(core::MagicClassifier& clf,
+ConnectionPoint run_connection_point(const core::MagicClassifier& clf,
                                      std::size_t connections,
                                      const std::vector<std::string>& requests) {
   serve::ServeConfig config;
@@ -234,14 +233,21 @@ ConnectionPoint run_connection_point(core::MagicClassifier& clf,
   config.queue_capacity = connections + 16;
   config.max_batch = 8;
   config.batch_window = std::chrono::microseconds(2000);
-  serve::InferenceServer server(clf, config);
+  // The daemon serves a one-version registry of a copy of `clf`, as magicd
+  // does with its --model checkpoint.
+  std::stringstream checkpoint;
+  clf.save(checkpoint);
+  serve::ModelRegistry registry(
+      "v1",
+      std::make_unique<core::MagicClassifier>(core::MagicClassifier::load(checkpoint)),
+      config);
   std::atomic<bool> stop{false};
   serve::DaemonOptions options;
   options.socket_path = "/tmp/bench_magicd_" + std::to_string(::getpid()) +
                         "_" + std::to_string(connections) + ".sock";
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { serve::run_unix_daemon(server, options); });
+  std::thread daemon([&] { serve::run_unix_daemon(registry, options); });
 
   ConnectionPoint point;
   point.connections = connections;
@@ -491,19 +497,14 @@ int main(int argc, char** argv) {
             << util::format_fixed(cmp.speedup, 2) << "x  (max |diff| "
             << cmp.max_abs_diff << ")\n";
 
-  // Serving layer, same replica count for both engines.
+  // Serving layer (always packed): proves micro-batches reach the fused
+  // forward.
   const std::size_t serve_workers = 2;
-  const SweepPoint serve_per_sample =
-      run_point(sp_clf, workload, serve_workers, /*batched=*/true,
-                core::PredictEngine::PerSample);
   const SweepPoint serve_packed =
-      run_point(sp_clf, workload, serve_workers, /*batched=*/true,
-                core::PredictEngine::Packed);
+      run_point(sp_clf, workload, serve_workers, /*batched=*/true);
   std::cout << "  serve (" << serve_workers << " workers, micro-batched): "
-            << util::format_fixed(serve_per_sample.throughput, 1)
-            << " -> " << util::format_fixed(serve_packed.throughput, 1)
-            << " req/s, " << serve_packed.stats.packed_batches
-            << " packed batches\n";
+            << util::format_fixed(serve_packed.throughput, 1) << " req/s, "
+            << serve_packed.stats.packed_batches << " packed batches\n";
 
   std::ofstream batch_out(opt.batch_out);
   batch_out << "{\"bench\":\"packed_batch\",\"model\":\"" << sp_config.describe()
@@ -517,7 +518,6 @@ int main(int argc, char** argv) {
             << ",\"max_abs_diff\":" << cmp.max_abs_diff
             << ",\"agree_1e9\":" << (cmp.agree ? "true" : "false")
             << "},\"serve\":{\"workers\":" << serve_workers
-            << ",\"per_sample\":" << json_point(serve_per_sample)
             << ",\"packed\":" << json_point(serve_packed) << "}}\n";
   std::cout << "wrote " << opt.batch_out << "\n";
 

@@ -3,7 +3,9 @@
 #
 # Exercises the full serving path with real binaries (no gtest):
 #   1. magicd --selftrain: trains a tiny model and writes demo listings;
-#   2. stdio mode: pipes scan requests through magicd, asserts JSON verdicts;
+#   2. stdio mode: scan requests through a fifo, asserting the verdicts
+#      arrive while the writer is idle and the fifo still open; then a
+#      regular-file stdin (`magicd < requests.txt`) served to EOF;
 #   3. model registry over stdio: `reload` hot-swap, a per-request
 #      `<id>@<version>` override, `shadow` mirroring, and the registry
 #      counters in the stats payload;
@@ -61,15 +63,15 @@ for i in 0 1 2; do
 done
 # Wait for the first three verdicts before sending the duplicate, so the
 # duplicate is a guaranteed verdict-cache hit rather than racing its
-# original through the miss path. Responses only flush when the protocol
-# loop reads a line, so '#' comment lines (ignored by the parser) pump it.
+# original through the miss path. The writer stays idle and the fifo open
+# meanwhile: verdicts are written as they resolve, not when more input
+# arrives.
 for _ in $(seq 1 200); do
   [[ "$(grep -c '"id":"req' "${STDIO_OUT}" || true)" -ge 3 ]] && break
-  echo "# pump" >&3
   sleep 0.05
 done
 [[ "$(grep -c '"id":"req' "${STDIO_OUT}")" -ge 3 ]] \
-  || fail "stdio mode: first 3 verdicts never flushed"
+  || fail "stdio mode: first 3 verdicts not written while the input stayed open"
 # Duplicate of sample 0: its verdict is already cached, so this must hit.
 echo "req3 path ${SAMPLES[0]}" >&3
 echo "stats" >&3
@@ -97,7 +99,29 @@ grep -q '"serve.latency_ms"' "${STDIO_OUT}" || fail "stdio mode: stats line miss
 # fused-batch counter (0 is fine for sequential stdio requests — the field
 # itself proves the packed execution path is wired into the server).
 grep -q '"packed_batches":' "${STDIO_OUT}" || fail "stdio mode: stats line missing packed_batches: $(tail -1 "${STDIO_OUT}")"
+# stdio runs on the socket daemon's event loop: its stats carry the
+# reactor block, with the stream as the loop's one connection.
+grep -q '"reactor":{"accepted":1' "${STDIO_OUT}" || fail "stdio mode: stats line missing reactor block: $(tail -1 "${STDIO_OUT}")"
 echo "    3/3 verdicts ok"
+
+echo "==> stdio mode: regular-file stdin (magicd < requests.txt)"
+FILE_IN="${WORK}/requests.txt"
+FILE_OUT="${WORK}/file.out"
+{
+  for i in 0 1 2; do echo "file${i} path ${SAMPLES[$i]}"; done
+  echo "stats"
+} > "${FILE_IN}"
+# No `quit`: end of file ends the stream.
+"${MAGICD}" --model "${MODEL}" --workers 2 < "${FILE_IN}" > "${FILE_OUT}" \
+  || fail "regular-file stdin: magicd exited nonzero"
+[[ "$(wc -l < "${FILE_OUT}")" -eq 4 ]] \
+  || fail "regular-file stdin: expected 4 response lines: $(cat "${FILE_OUT}")"
+for i in 0 1 2; do
+  grep -q "\"id\":\"file${i}\",\"status\":\"ok\"" "${FILE_OUT}" \
+    || fail "regular-file stdin: no ok verdict for file${i}: $(cat "${FILE_OUT}")"
+done
+grep -q '"completed":3' "${FILE_OUT}" || fail "regular-file stdin: stats line wrong: $(tail -1 "${FILE_OUT}")"
+echo "    3/3 verdicts ok from a regular file"
 
 echo "==> model registry: reload hot-swap + version override + shadow (stdio)"
 REG_OUT="${WORK}/registry.out"

@@ -218,28 +218,6 @@ Prediction MagicClassifier::predict_listing(std::string_view listing) const {
   return predict(acfg::extract_acfg_from_listing(listing));
 }
 
-std::vector<Prediction> MagicClassifier::predict_batch(
-    const std::vector<acfg::Acfg>& samples, util::ThreadPool& pool) const {
-  if (!fitted()) throw std::logic_error("MagicClassifier::predict_batch: not fitted");
-  std::vector<Prediction> results(samples.size());
-  if (samples.empty()) return results;
-  const std::size_t chunks = std::min(pool.size(), std::max<std::size_t>(1, samples.size()));
-  // One replica per chunk, materialized once and reused on later calls.
-  const std::shared_ptr<ReplicaPool> replicas = ensure_replica_pool();
-  replicas->warm(chunks);
-  const std::size_t per_chunk = (samples.size() + chunks - 1) / chunks;
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(samples.size(), begin + per_chunk);
-    if (begin >= end) return;
-    const ReplicaPool::Lease replica = replicas->acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = replica->predict_on_own_model(samples[i]);
-    }
-  });
-  return results;
-}
-
 std::vector<Prediction> MagicClassifier::predict_packed(const GraphBatch& batch) const {
   if (!fitted()) throw std::logic_error("MagicClassifier::predict_packed: not fitted");
   if (is_pool_replica_) return predict_packed_on_own_model(batch);
@@ -260,10 +238,6 @@ std::shared_ptr<ReplicaPool> MagicClassifier::replica_pool(
   const std::shared_ptr<ReplicaPool> pool = ensure_replica_pool();
   pool->warm(options.warm_count);
   return pool;
-}
-
-std::shared_ptr<ReplicaPool> MagicClassifier::replica_pool(std::size_t warm_count) const {
-  return replica_pool(ReplicaPoolOptions{warm_count});
 }
 
 Explanation MagicClassifier::explain(const acfg::Acfg& sample) {
@@ -339,12 +313,6 @@ MagicClassifier MagicClassifier::load(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("MagicClassifier: cannot open " + path);
   return load(in);
-}
-
-void MagicClassifier::save_file(const std::string& path) const { save(path); }
-
-MagicClassifier MagicClassifier::load_file(const std::string& path) {
-  return load(path);
 }
 
 }  // namespace magic::core

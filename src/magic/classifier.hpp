@@ -8,9 +8,8 @@
 //
 // Inference surface: classify(span, PredictOptions) is the single entry
 // point — const, thread-safe (replica leases) and engine-selectable
-// (packed block-diagonal batching vs. per-sample forwards). The historic
-// predict / predict_listing / predict_batch calls are thin wrappers over
-// it and remain source compatible.
+// (packed block-diagonal batching vs. per-sample forwards). predict and
+// predict_listing are single-sample conveniences over the same replicas.
 
 #include <iosfwd>
 #include <memory>
@@ -114,8 +113,7 @@ class MagicClassifier {
   /// classify() is THE inference entry point: const, thread-safe (every
   /// call scores on exclusively leased replicas from the cached pool, never
   /// on the shared model instance) and engine-selectable via PredictOptions.
-  /// predict / predict_listing / predict_batch below are thin wrappers kept
-  /// so existing call sites compile unchanged.
+  /// predict / predict_listing below score one sample the same way.
 
   /// Classifies `samples` in input order. Requires a fitted or loaded
   /// model. Safe to call concurrently from any number of threads.
@@ -130,12 +128,6 @@ class MagicClassifier {
   /// Const and thread-safe, like predict().
   Prediction predict_listing(std::string_view listing) const;
 
-  /// Compatibility wrapper: per-sample engine driven by the caller's thread
-  /// pool (classify() manages its own workers instead). Result order
-  /// matches the input order.
-  std::vector<Prediction> predict_batch(const std::vector<acfg::Acfg>& samples,
-                                        util::ThreadPool& pool) const;
-
   /// Scores one pre-packed batch in a single fused forward on a leased
   /// replica; returns one Prediction per packed graph. Const, thread-safe.
   std::vector<Prediction> predict_packed(const GraphBatch& batch) const;
@@ -145,9 +137,8 @@ class MagicClassifier {
   /// whenever fit() / fit_indices() retrains. Shared by classify() and the
   /// serving layer (serve::InferenceServer); replicas are leased out, so
   /// concurrent consumers never collide. Thread-safe.
-  std::shared_ptr<ReplicaPool> replica_pool(const ReplicaPoolOptions& options) const;
-  /// Compatibility overload of the above (warm_count positional).
-  std::shared_ptr<ReplicaPool> replica_pool(std::size_t warm_count = 0) const;
+  std::shared_ptr<ReplicaPool> replica_pool(
+      const ReplicaPoolOptions& options = {}) const;
 
   /// Classifies and attributes the verdict to basic blocks / attribute
   /// channels via input gradients (saliency). Analyst triage tooling: "which
@@ -166,17 +157,14 @@ class MagicClassifier {
   /// ---- Persistence -------------------------------------------------------
   ///
   /// One canonical surface: save(stream) / load(stream) define the text
-  /// format ("MAGIC-MODEL v2": config, derived k, family names, every
-  /// parameter tensor; see model_io.cpp). The path overloads open the file
-  /// and delegate to the stream pair; save -> load -> predict is
-  /// bit-reproducible. save_file/load_file are legacy aliases of the path
-  /// overloads and simply delegate.
+  /// format ("MAGIC-MODEL v3": config incl. the graph-conv operator,
+  /// derived k, family names, every parameter tensor; v1/v2 still load;
+  /// see model_io.cpp). The path overloads open the file and delegate to
+  /// the stream pair; save -> load -> predict is bit-reproducible.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
   static MagicClassifier load(std::istream& is);
   static MagicClassifier load(const std::string& path);
-  void save_file(const std::string& path) const;
-  static MagicClassifier load_file(const std::string& path);
 
   /// Access for serialization/tests.
   DgcnnModel* model() noexcept { return model_.get(); }

@@ -398,19 +398,6 @@ GraphConvStack::GraphConvStack(const GraphConvStackConfig& config, util::Rng& rn
   }
 }
 
-GraphConvStack::GraphConvStack(std::size_t in_channels,
-                               const std::vector<std::size_t>& channels,
-                               Activation activation, util::Rng& rng)
-    : GraphConvStack(
-          [&] {
-            GraphConvStackConfig config;
-            config.in_channels = in_channels;
-            config.channels = channels;
-            config.activation = activation;
-            return config;
-          }(),
-          rng) {}
-
 Tensor GraphConvStack::forward(const SparseMatrix& prop, const Tensor& x) {
   MAGIC_SHAPE_CONTRACT("GraphConvStack::forward", x, shape::any("n"),
                        shape::eq(layers_.front()->in_channels()));

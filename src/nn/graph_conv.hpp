@@ -223,11 +223,6 @@ std::unique_ptr<GraphConvOp> make_graph_conv_op(const GraphConvOpOptions& option
                                                 Activation activation,
                                                 util::Rng& rng);
 
-/// Deprecated name of the Eq. 1 operator, kept for one release so existing
-/// call sites keep compiling; new code names PaperGraphConv (or builds
-/// through make_graph_conv_op). See README "Migration notes".
-using GraphConvLayer = PaperGraphConv;
-
 /// Everything the stack needs to build its layers, in one place.
 /// DgcnnConfig::graph_conv_stack_config() is the single producer — config,
 /// model and classifier no longer thread channels/activation separately.
@@ -244,11 +239,6 @@ struct GraphConvStackConfig {
 class GraphConvStack {
  public:
   explicit GraphConvStack(const GraphConvStackConfig& config, util::Rng& rng);
-
-  /// Deprecated shim (one release): builds a PaperGraphConv stack from the
-  /// pre-zoo positional signature. Prefer the GraphConvStackConfig ctor.
-  GraphConvStack(std::size_t in_channels, const std::vector<std::size_t>& channels,
-                 Activation activation, util::Rng& rng);
 
   /// Returns the column-concatenated Z^{1:h} of shape (n x total_channels()).
   Tensor forward(const SparseMatrix& prop, const Tensor& x);

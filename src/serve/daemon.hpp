@@ -1,44 +1,37 @@
 #pragma once
-// magicd daemon loops: serve the wire protocol over stdio or a Unix domain
+// magicd front ends: serve the wire protocol over stdio or a Unix domain
 // socket.
 //
-// Both modes pipeline: requests are submitted to the backend ScanService as
-// they are read (so micro-batching sees real concurrency) while responses
-// are flushed in request order as they resolve. A stream ends at EOF or a
-// `quit` line, after which every outstanding verdict is flushed.
+// Both run the same epoll reactor (serve/reactor.hpp), so framing, request
+// order, the reload/shadow barrier, backpressure, the `stats` reply (with
+// its "reactor" block), the write-stall timeout and the SIGTERM/SIGINT
+// drain are one implementation. Requests are submitted to the backend
+// ScanService as they are read (so micro-batching sees real concurrency)
+// while responses are flushed in request order as they resolve. A stream
+// ends at EOF or a `quit` line, after which every outstanding verdict is
+// flushed.
 //
-// The socket daemon is a single epoll event loop (serve/reactor.hpp): one
-// thread owns every connection fd, extraction runs on a small worker pool,
-// and verdict completions wake the loop through an eventfd. It accepts any
-// number of concurrent connections and drains gracefully on SIGTERM/SIGINT:
-// stop accepting, flush in-flight verdicts, then drain the service.
+// The socket daemon accepts any number of concurrent connections and
+// drains gracefully on SIGTERM/SIGINT: stop accepting, flush in-flight
+// verdicts, then drain the service. The stdio mode is the same loop with
+// one connection: a socketpair whose far end two byte relays join to the
+// caller's input and output fds.
 //
-// Both loops are written against ScanService, so they serve a bare
-// InferenceServer and a versioned ModelRegistry identically; the
-// InferenceServer overloads below are the registry-less convenience
-// surface.
+// The reactor is written against ScanService; magicd and the tests serve a
+// ModelRegistry (one version is the single-model case).
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "serve/scan_service.hpp"
-#include "serve/server.hpp"
 
 namespace magic::serve {
 
-/// Serves one request stream (the stdio mode of magicd). Returns the
-/// number of scan requests submitted. Malformed lines produce an
-/// {"id":"","status":"error",...} response instead of killing the stream.
-std::uint64_t serve_stream(std::istream& in, std::ostream& out,
-                           ScanService& service);
-std::uint64_t serve_stream(std::istream& in, std::ostream& out,
-                           InferenceServer& server);
-
-/// Options for the socket daemon loop.
+/// Options of both front ends (serve_stream ignores `socket_path` and the
+/// accept hook).
 struct DaemonOptions {
   std::string socket_path;
   /// Install SIGTERM/SIGINT handlers that trigger graceful drain, and
@@ -82,6 +75,16 @@ struct DaemonOptions {
 /// requests served. Throws std::runtime_error on socket setup failure or a
 /// fatal event-loop error.
 std::uint64_t run_unix_daemon(ScanService& service, const DaemonOptions& options);
-std::uint64_t run_unix_daemon(InferenceServer& server, const DaemonOptions& options);
+
+/// Serves one request stream read from `in_fd` with responses written to
+/// `out_fd` (the stdio mode of magicd) until end of input, a `quit` line or
+/// a stop signal, then drains the service like the socket daemon. Verdicts
+/// are written as soon as they resolve, while the input is still open.
+/// `in_fd` may be any readable fd, a regular file included; neither fd is
+/// closed. Returns the number of scan requests submitted. Malformed lines
+/// produce an {"id":"","status":"error",...} response instead of killing
+/// the stream.
+std::uint64_t serve_stream(int in_fd, int out_fd, ScanService& service,
+                           const DaemonOptions& options);
 
 }  // namespace magic::serve

@@ -4,11 +4,12 @@
 // Serving (requires a trained model, see model_io.cpp for the format):
 //   magicd --model FILE                     stdio mode: newline-delimited
 //                                           requests on stdin, JSON verdicts
-//                                           on stdout (see serve/wire.hpp)
-//   magicd --model FILE --socket PATH      Unix-domain-socket daemon (one
-//                                           epoll event loop; any number of
-//                                           concurrent clients); graceful
-//                                           drain on SIGTERM/SIGINT
+//                                           on stdout as they resolve (see
+//                                           serve/wire.hpp)
+//   magicd --model FILE --socket PATH      Unix-domain-socket daemon (any
+//                                           number of concurrent clients)
+// Both modes run the same epoll event loop and drain gracefully on
+// SIGTERM/SIGINT.
 // The daemon serves a versioned model registry: the --model checkpoint is
 // version --model-version (default "v1"); more versions load at startup
 // (--load NAME=FILE) or live (`reload NAME FILE` on the wire, which also
@@ -17,7 +18,7 @@
 // fraction of traffic to a candidate version and counts family agreement.
 // Tuning: --workers N --queue N --batch N --window-us U --deadline-ms D
 //         --cache-bytes N (verdict-cache budget; 0 disables; default 64 MiB)
-//         --io-workers N (socket daemon's extraction workers)
+//         --io-workers N (the event loop's extraction workers)
 //
 // Bootstrap (demo/CI; no real corpus required):
 //   magicd --selftrain FILE [--samples-dir DIR] [--scale F] [--epochs N]
@@ -25,6 +26,8 @@
 //                                           synthetic YANCFG-style corpus,
 //                                           saves it to FILE and optionally
 //                                           writes demo listings to DIR.
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -193,7 +196,7 @@ int selftrain(const Options& opt) {
   util::Timer timer;
   clf.fit(corpus, 0.15);
   std::cerr << "magicd: trained in " << timer.seconds() << "s\n";
-  clf.save_file(opt.selftrain_path);
+  clf.save(opt.selftrain_path);
   std::cerr << "magicd: model saved to " << opt.selftrain_path << "\n";
 
   if (!opt.samples_dir.empty()) {
@@ -232,7 +235,7 @@ int main(int argc, char** argv) {
     if (!opt.selftrain_path.empty()) return selftrain(opt);
 
     auto clf = std::make_unique<core::MagicClassifier>(
-        core::MagicClassifier::load_file(opt.model_path));
+        core::MagicClassifier::load(opt.model_path));
     const std::size_t families = clf->family_names().size();
     const char* conv_op =
         nn::graph_conv_operator_name(clf->config().graph_conv_op);
@@ -296,15 +299,14 @@ int main(int argc, char** argv) {
     };
 
     std::uint64_t served = 0;
+    serve::DaemonOptions daemon;
+    daemon.io_workers = opt.io_workers;
     if (opt.socket_path.empty()) {
       std::cerr << "magicd: serving stdio (one request per line; 'quit' ends)\n";
-      served = serve::serve_stream(std::cin, std::cout, registry);
-      registry.drain();
+      served = serve::serve_stream(STDIN_FILENO, STDOUT_FILENO, registry, daemon);
     } else {
       std::cerr << "magicd: listening on " << opt.socket_path << "\n";
-      serve::DaemonOptions daemon;
       daemon.socket_path = opt.socket_path;
-      daemon.io_workers = opt.io_workers;
       served = serve::run_unix_daemon(registry, daemon);
     }
     stop_stats_thread();

@@ -171,8 +171,12 @@ constexpr std::uint64_t kWakeTag = 1;
 class Reactor {
  public:
   Reactor(ScanService& service, const DaemonOptions& options,
-          const std::function<bool()>& should_stop)
-      : service_(service), options_(options), should_stop_(should_stop) {}
+          const std::function<bool()>& should_stop, int stream_fd)
+      : service_(service),
+        options_(options),
+        should_stop_(should_stop),
+        listening_(stream_fd < 0),
+        stream_fd_(stream_fd) {}
 
   ~Reactor() { release_fds(); }
 
@@ -182,7 +186,8 @@ class Reactor {
   std::uint64_t run() {
     setup();
     std::string fault;
-    while (fault.empty() && !should_stop_()) {
+    // A stream reactor (no listener) is done once its one connection is.
+    while (fault.empty() && !should_stop_() && (listening_ || !conns_.empty())) {
       const int n = ::epoll_wait(epoll_fd_, events_.data(),
                                  static_cast<int>(events_.size()), kTickMs);
       if (n < 0) {
@@ -221,14 +226,17 @@ class Reactor {
   }
 
   void setup() {
-    listen_fd_ = bind_unix_listener(options_.socket_path);
+    if (listening_) listen_fd_ = bind_unix_listener(options_.socket_path);
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) throw_errno("magicd: epoll_create1");
     event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (event_fd_ < 0) throw_errno("magicd: eventfd");
     hub_ = std::make_shared<WakeHub>(event_fd_);
-    add_fd(listen_fd_, kListenerTag, EPOLLIN);
+    if (listening_) add_fd(listen_fd_, kListenerTag, EPOLLIN);
     add_fd(event_fd_, kWakeTag, EPOLLIN);
+    if (!listening_ && !add_conn(std::exchange(stream_fd_, -1))) {
+      throw std::runtime_error("magicd: cannot register the stream connection");
+    }
     events_.resize(256);
     std::size_t workers = options_.io_workers;
     if (workers == 0) workers = 4;
@@ -312,20 +320,27 @@ class Reactor {
         }
         break;  // EAGAIN: drained; anything else: try again next tick
       }
-      const std::uint64_t serial = next_serial_++;
-      Conn conn;
-      conn.fd = fd;
-      conn.serial = serial;
-      auto [it, inserted] = conns_.emplace(serial, std::move(conn));
-      try {
-        add_fd(fd, serial, EPOLLIN);
-      } catch (const std::exception&) {
-        ::close(fd);
-        conns_.erase(it);
-        continue;
-      }
-      ++stats_.accepted;
+      add_conn(fd);
     }
+  }
+
+  /// Takes ownership of a connected non-blocking stream socket and serves
+  /// it as a connection. False (fd closed) when epoll refuses it.
+  bool add_conn(int fd) {
+    const std::uint64_t serial = next_serial_++;
+    Conn conn;
+    conn.fd = fd;
+    conn.serial = serial;
+    auto [it, inserted] = conns_.emplace(serial, std::move(conn));
+    try {
+      add_fd(fd, serial, EPOLLIN);
+    } catch (const std::exception&) {
+      ::close(fd);
+      conns_.erase(it);
+      return false;
+    }
+    ++stats_.accepted;
+    return true;
   }
 
   void park_listener() {
@@ -661,10 +676,12 @@ class Reactor {
     // backlog even if its EPOLLIN was never dispatched; closing the
     // listener would reset it mid-request. Adopt those connections first —
     // they drain like any other.
-    accept_ready();
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    if (listening_) {
+      accept_ready();
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+    }
     std::vector<std::uint64_t> serials;
     serials.reserve(conns_.size());
     for (auto& [serial, conn] : conns_) {
@@ -716,7 +733,7 @@ class Reactor {
     pool_.reset();     // join extraction workers (late wakes are no-ops)
     service_.drain();  // resolve everything still queued
     release_fds();
-    remove_socket_file(options_.socket_path);
+    if (listening_) remove_socket_file(options_.socket_path);
   }
 
   /// Fatal-error teardown: close every connection fd (peers see EOF), join
@@ -726,7 +743,7 @@ class Reactor {
     hub_->close();
     pool_.reset();
     release_fds();
-    remove_socket_file(options_.socket_path);
+    if (listening_) remove_socket_file(options_.socket_path);
   }
 
   void release_fds() {
@@ -734,15 +751,21 @@ class Reactor {
     conns_.clear();
     if (hub_) hub_->close();
     if (listen_fd_ >= 0) ::close(listen_fd_);
+    if (stream_fd_ >= 0) ::close(stream_fd_);
     if (event_fd_ >= 0) ::close(event_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    listen_fd_ = event_fd_ = epoll_fd_ = -1;
+    listen_fd_ = stream_fd_ = event_fd_ = epoll_fd_ = -1;
   }
 
   ScanService& service_;
   const DaemonOptions& options_;
   const std::function<bool()>& should_stop_;
 
+  /// False for a stream reactor: one adopted connection, no listener.
+  const bool listening_;
+  /// The adopted connection until setup() registers it (owned from
+  /// construction, so a failed setup still closes it).
+  int stream_fd_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
@@ -762,8 +785,9 @@ class Reactor {
 }  // namespace
 
 std::uint64_t run_reactor(ScanService& service, const DaemonOptions& options,
-                          const std::function<bool()>& should_stop) {
-  Reactor reactor(service, options, should_stop);
+                          const std::function<bool()>& should_stop,
+                          int stream_fd) {
+  Reactor reactor(service, options, should_stop, stream_fd);
   return reactor.run();
 }
 

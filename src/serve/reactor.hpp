@@ -1,13 +1,17 @@
 #pragma once
-// Epoll-based event loop for the magicd socket daemon.
+// Epoll-based event loop behind both magicd front ends.
 //
-// One reactor thread owns the listener and every connection fd. Reads are
-// non-blocking and feed per-connection line buffers; each parsed request
-// becomes an in-order response entry on that connection's pending deque.
-// Extraction and scoring never run on the loop: scan and control requests
-// are dispatched to a small worker pool, and verdict completion hooks
-// (PendingVerdict::on_ready) wake the loop through an eventfd when a
-// response at the front of a deque becomes flushable.
+// One reactor thread owns every connection fd. The socket daemon binds a
+// listener and accepts any number of clients; the stdio mode
+// (serve_stream, serve/daemon.cpp) hands it one end of a socketpair as its
+// only connection and no listener. Either way this file is the one place
+// the wire protocol is framed and parsed. Reads are non-blocking and feed
+// per-connection line buffers; each parsed request becomes an in-order
+// response entry on that connection's pending deque. Extraction and scoring
+// never run on the loop: scan and control requests are dispatched to a
+// small worker pool, and verdict completion hooks (PendingVerdict::on_ready)
+// wake the loop through an eventfd when a response at the front of a deque
+// becomes flushable.
 //
 // Flow control, per connection:
 //  - responses flush strictly in request order (protocol invariant);
@@ -28,9 +32,9 @@
 //    instead of letting the level-triggered event spin the loop.
 //
 // Shutdown replicates the thread-per-connection daemon's semantics: on a
-// stop signal the listener closes, already-buffered request lines are still
-// parsed, in-flight verdicts get `drain_grace` to flush, stragglers are
-// hard-closed, and finally the ScanService drains (resolving everything
+// stop signal the listener (if any) closes, already-buffered request lines
+// are still parsed, in-flight verdicts get `drain_grace` to flush,
+// stragglers are hard-closed, and finally the ScanService drains (resolving everything
 // still queued). If the event loop itself dies (epoll failure, injected
 // fault), every connection fd is torn down *before* the error propagates —
 // a dying loop must never leave peers attached to a daemon that will not
@@ -46,11 +50,16 @@ namespace magic::serve {
 class ScanService;
 
 /// Runs the reactor until `should_stop` returns true (checked at least
-/// every ~200ms), then drains gracefully. Returns the number of scan
-/// requests submitted to the service. Throws std::runtime_error on socket
-/// setup failure or a fatal event-loop error — after tearing down every
+/// every ~200ms), then drains gracefully. With `stream_fd` < 0 it binds
+/// `options.socket_path` and accepts clients. Otherwise `stream_fd` is a
+/// connected non-blocking stream socket the reactor takes ownership of and
+/// serves as its only connection, with no listener; the loop then also
+/// ends once that connection is fully served. Returns the number of scan
+/// requests submitted to the service. Throws std::runtime_error on setup
+/// failure or a fatal event-loop error — after tearing down every
 /// connection fd.
 std::uint64_t run_reactor(ScanService& service, const DaemonOptions& options,
-                          const std::function<bool()>& should_stop);
+                          const std::function<bool()>& should_stop,
+                          int stream_fd = -1);
 
 }  // namespace magic::serve

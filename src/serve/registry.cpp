@@ -71,7 +71,7 @@ void ModelRegistry::load_version(const std::string& name,
   // Materialize the new version entirely outside the lock: checkpoint
   // parsing and replica warm-up must not block in-flight scans.
   auto model = std::make_unique<core::MagicClassifier>(
-      core::MagicClassifier::load_file(path));
+      core::MagicClassifier::load(path));
   auto version = make_version(name, std::move(model));
 
   std::shared_ptr<Version> replaced;

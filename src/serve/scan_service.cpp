@@ -27,27 +27,4 @@ bool read_file_to_string(const std::string& path, std::string& out) {
   return true;
 }
 
-PendingVerdict ServerScanService::submit_listing(std::string_view listing,
-                                                 const std::string& version) {
-  if (!version.empty()) {
-    Verdict verdict;
-    verdict.status = VerdictStatus::Error;
-    verdict.error = "model version override '" + version +
-                    "' requires a model registry (single-model daemon)";
-    return PendingVerdict::resolved(std::move(verdict));
-  }
-  return server_.submit_listing(listing);
-}
-
-std::string ServerScanService::stats_json() {
-  return "{\"server\":" + server_.stats().to_json() + stats_payload_suffix() + "}";
-}
-
-std::string ServerScanService::control(const wire::Request& request) {
-  const char* op =
-      request.kind == wire::Request::Kind::Reload ? "reload" : "shadow";
-  return control_error_line(std::string(op) +
-                            " requires a model registry (single-model daemon)");
-}
-
 }  // namespace magic::serve

@@ -1,26 +1,26 @@
 #pragma once
-// ScanService: what a magicd front-end (the epoll reactor, the stdio
-// protocol loop) needs from the scoring backend, abstracted so the same
-// connection machinery serves either a single InferenceServer or a full
-// versioned ModelRegistry.
+// ScanService: what the magicd front end (the epoll reactor behind both
+// the socket daemon and the stdio mode) needs from the scoring backend.
+// ModelRegistry is the production implementation (one version is the
+// single-model case); tests substitute stubs.
 //
-// The front-ends only ever (a) submit scan requests, (b) render a stats
-// payload, (c) forward control commands (`reload`, `shadow`) and (d) drain
-// on shutdown. Keeping the surface this small is what lets the registry be
-// hot-swapped underneath live connections: a front-end never holds a model
+// The front end only ever (a) submits scan requests, (b) renders a stats
+// payload, (c) forwards control commands (`reload`, `shadow`) and (d)
+// drains on shutdown. Keeping the surface this small is what lets the
+// registry be hot-swapped underneath live connections: the front end never
+// holds a model
 // or server pointer, only PendingVerdict handles, which stay valid across
 // any number of version swaps.
 
 #include <string>
 #include <string_view>
 
-#include "serve/server.hpp"
 #include "serve/verdict.hpp"
 #include "serve/wire.hpp"
 
 namespace magic::serve {
 
-/// Backend interface of the daemon front-ends. Implementations must be
+/// Backend interface of the daemon front end. Implementations must be
 /// safe to call from multiple threads (the reactor submits from its worker
 /// pool while the stats path renders from the event loop).
 class ScanService {
@@ -47,24 +47,6 @@ class ScanService {
   virtual void drain() = 0;
 };
 
-/// ScanService over one InferenceServer — the registry-less daemon (and the
-/// compatibility surface for `run_unix_daemon(InferenceServer&, ...)`).
-/// Version overrides and control commands report errors: there is only one
-/// model and it cannot change.
-class ServerScanService final : public ScanService {
- public:
-  explicit ServerScanService(InferenceServer& server) : server_(server) {}
-
-  PendingVerdict submit_listing(std::string_view listing,
-                                const std::string& version) override;
-  std::string stats_json() override;
-  std::string control(const wire::Request& request) override;
-  void drain() override { server_.stop(/*drain=*/true); }
-
- private:
-  InferenceServer& server_;
-};
-
 /// Shared payload tail of every stats reply: the SIMD dispatch level the
 /// math kernels run at plus the process-wide obs registry snapshot.
 /// Returned as `,"simd_level":"...","obs":{...}` for splicing into a
@@ -75,7 +57,7 @@ std::string stats_payload_suffix();
 std::string control_error_line(const std::string& message);
 
 /// Reads a whole file into `out`; false (with `out` untouched) when the
-/// file cannot be opened. Shared by the protocol loops' `path` requests.
+/// file cannot be opened. Used by the reactor's `path` requests.
 bool read_file_to_string(const std::string& path, std::string& out);
 
 }  // namespace magic::serve

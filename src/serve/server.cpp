@@ -30,8 +30,9 @@ InferenceServer::InferenceServer(core::MagicClassifier& model, ServeConfig confi
         cache::CacheConfig{config_.cache_bytes, config_.cache_shards});
   }
   // Reuses the classifier's cached pool: a second server over the same
-  // model (or a predict_batch call) shares the same replicas.
-  replicas_ = model.replica_pool(config_.workers);
+  // model (or a classify() call) shares the same replicas.
+  replicas_ = model.replica_pool(
+      core::ReplicaPoolOptions{.warm_count = config_.workers});
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -178,7 +179,7 @@ void InferenceServer::execute_batch(std::vector<Queued>& batch) {
   }
   if (live.empty()) return;
 
-  if (config_.engine == core::PredictEngine::Packed && live.size() > 1) {
+  if (live.size() > 1) {
     try {
       std::vector<const acfg::Acfg*> graphs;
       graphs.reserve(live.size());

@@ -15,8 +15,8 @@
 //                                          lease replica (RAII, per batch),
 //                                          deadline-expired items shed, then
 //                                          ONE packed forward for the rest
-//                                          (per-item fallback / PerSample
-//                                          engine), PendingVerdict resolved
+//                                          (per-item fallback if it throws),
+//                                          PendingVerdict resolved
 //
 // Dynamic micro-batching: a worker that pops one request keeps collecting
 // until it has `max_batch` items or `batch_window` has elapsed, then scores
@@ -65,11 +65,6 @@ struct ServeConfig {
   /// passed when a worker picks it up resolves as DeadlineExpired without
   /// being scored (load shedding).
   std::chrono::milliseconds default_deadline{0};
-  /// How a flushed micro-batch is scored. Packed (default): all live
-  /// requests of the batch go through ONE fused block-diagonal forward on
-  /// the leased replica (core::GraphBatch), falling back to per-item
-  /// scoring if the packed pass throws; PerSample: one forward per item.
-  core::PredictEngine engine = core::PredictEngine::Packed;
   /// Byte budget of the content-addressed verdict cache; 0 disables it.
   /// The cache sits *ahead of* the micro-batcher: submit() hashes the ACFG
   /// and a hit resolves the handle immediately, never touching the queue,
@@ -143,7 +138,9 @@ class InferenceServer {
   void cache_store(const Queued& request, const core::Prediction& prediction);
   /// Scores one flushed micro-batch: leases a replica for exactly this
   /// batch (RAII — released even when scoring throws), resolves expired
-  /// requests, then runs the configured engine over the live ones.
+  /// requests, then scores the live ones in ONE fused block-diagonal
+  /// forward (core::GraphBatch), falling back to per-item scoring if the
+  /// packed pass throws.
   void execute_batch(std::vector<Queued>& batch);
   void process(Queued& request, core::MagicClassifier& replica);
   static double elapsed_ms(Clock::time_point since);

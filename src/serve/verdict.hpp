@@ -123,8 +123,8 @@ class PendingVerdict {
   PendingVerdict() = default;
 
   /// An already-resolved handle. The serving layer uses this for requests
-  /// that terminate before reaching any server (unknown model version,
-  /// registry-less daemon asked for a versioned scan, ...).
+  /// that terminate before reaching any server (e.g. an unknown model
+  /// version).
   static PendingVerdict resolved(Verdict verdict) {
     auto slot = std::make_shared<detail::VerdictSlot>();
     slot->fulfil(std::move(verdict));

@@ -138,8 +138,4 @@ void log_line(LogLevel level, std::string_view component,
   std::cerr << line << "\n";
 }
 
-void log_line(LogLevel level, const std::string& message) {
-  log_line(level, std::string_view{}, message);
-}
-
 }  // namespace magic::util

@@ -47,8 +47,6 @@ std::string log_timestamp();
 /// Emits one formatted line to stderr under a mutex.
 void log_line(LogLevel level, std::string_view component,
               const std::string& message);
-/// Back-compat overload: no component tag.
-void log_line(LogLevel level, const std::string& message);
 
 }  // namespace magic::util
 

@@ -196,15 +196,6 @@ TEST(PackedEquivalence, ConcurrentClassifyIsThreadSafe) {
   }
 }
 
-TEST(PackedEquivalence, PredictBatchWrapperMatchesClassify) {
-  const MagicClassifier clf = fitted(sort_conv1d_config(), 82);
-  const std::vector<acfg::Acfg> mix = size_mix(83);
-  util::ThreadPool pool(3);
-  expect_match(clf.predict_batch(mix, pool),
-               clf.classify(mix, PredictOptions{.engine = PredictEngine::PerSample}),
-               "predict_batch wrapper");
-}
-
 TEST(PackedEquivalence, PredictPackedMatchesClassify) {
   const MagicClassifier clf = fitted(sort_wv_config(), 84);
   const std::vector<acfg::Acfg> mix = size_mix(85);
@@ -284,8 +275,8 @@ TEST(PackedEquivalence, ReplicaPoolOptionsWarmsEagerly) {
   ASSERT_NE(pool, nullptr);
   EXPECT_GE(pool->size(), 2u);
   EXPECT_EQ(pool->leased(), 0u);
-  // The positional compatibility overload shares the same cached pool.
-  EXPECT_EQ(clf.replica_pool(1).get(), pool.get());
+  // A later call without options shares the same cached pool.
+  EXPECT_EQ(clf.replica_pool().get(), pool.get());
 }
 
 }  // namespace

@@ -94,17 +94,17 @@ TEST(ReplicaPool, ReplicasPredictIdenticallyToSource) {
 
 TEST(MagicClassifier, ReplicaPoolCachedAcrossPredictBatchCalls) {
   MagicClassifier clf = fitted_classifier(44);
-  util::ThreadPool pool(2);
+  const PredictOptions options{.threads = 2, .engine = PredictEngine::PerSample};
   util::Rng rng(45);
   std::vector<acfg::Acfg> batch;
   for (int i = 0; i < 6; ++i) batch.push_back(make_graph(i % 2, 6, i % 2 == 0, rng));
 
-  const auto first = clf.predict_batch(batch, pool);
+  const auto first = clf.classify(batch, options);
   const std::shared_ptr<ReplicaPool> cached = clf.replica_pool();
   ASSERT_NE(cached, nullptr);
   EXPECT_GE(cached->size(), 1u);
 
-  const auto second = clf.predict_batch(batch, pool);
+  const auto second = clf.classify(batch, options);
   // Same pool object: no re-serialization on the second call.
   EXPECT_EQ(clf.replica_pool().get(), cached.get());
   ASSERT_EQ(first.size(), second.size());
@@ -115,9 +115,11 @@ TEST(MagicClassifier, ReplicaPoolCachedAcrossPredictBatchCalls) {
 
 TEST(MagicClassifier, RefitInvalidatesCachedReplicaPool) {
   MagicClassifier clf = fitted_classifier(46);
-  const std::shared_ptr<ReplicaPool> before = clf.replica_pool(1);
+  const std::shared_ptr<ReplicaPool> before =
+      clf.replica_pool(ReplicaPoolOptions{.warm_count = 1});
   clf.fit(separable_dataset(10, 47), 0.2);
-  const std::shared_ptr<ReplicaPool> after = clf.replica_pool(1);
+  const std::shared_ptr<ReplicaPool> after =
+      clf.replica_pool(ReplicaPoolOptions{.warm_count = 1});
   EXPECT_NE(before.get(), after.get());  // stale clones must not survive a retrain
   // The old pool stays usable for whoever still holds it (shared_ptr), and
   // the new pool reflects the new weights.

@@ -8,6 +8,17 @@ namespace {
 
 using tensor::SparseMatrix;
 
+/// Config of a paper-operator (default) stack.
+nn::GraphConvStackConfig stack_config(
+    std::size_t in, std::vector<std::size_t> channels,
+    nn::Activation activation = nn::Activation::ReLU) {
+  nn::GraphConvStackConfig config;
+  config.in_channels = in;
+  config.channels = std::move(channels);
+  config.activation = activation;
+  return config;
+}
+
 SparseMatrix chain_prop() {
   // 0 -> 1 -> 2 plus a back edge 2 -> 0.
   return SparseMatrix::propagation_operator({{1}, {2}, {0}});
@@ -16,7 +27,7 @@ SparseMatrix chain_prop() {
 TEST(GraphConvLayer, ForwardMatchesDenseFormula) {
   // Z' = f(D^-1 A_hat Z W) with Identity activation equals the dense chain.
   util::Rng rng(1);
-  nn::GraphConvLayer layer(2, 3, nn::Activation::Identity, rng);
+  nn::PaperGraphConv layer(2, 3, nn::Activation::Identity, rng);
   SparseMatrix p = chain_prop();
   Tensor z = Tensor::from_rows({{1, 2}, {3, 4}, {5, 6}});
   Tensor expected = tensor::matmul(p.to_dense(), tensor::matmul(z, layer.weight().value));
@@ -25,7 +36,7 @@ TEST(GraphConvLayer, ForwardMatchesDenseFormula) {
 
 TEST(GraphConvLayer, ReluActivationClamps) {
   util::Rng rng(2);
-  nn::GraphConvLayer layer(1, 1, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(1, 1, nn::Activation::ReLU, rng);
   layer.weight().value = Tensor::from_rows({{-1.0}});
   SparseMatrix p = SparseMatrix::propagation_operator({{}});
   Tensor z = Tensor::from_rows({{2.0}});
@@ -40,7 +51,7 @@ TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
   std::vector<std::vector<std::size_t>> adj = {{1, 2}, {3}, {3}, {4}, {}};
   SparseMatrix p = SparseMatrix::propagation_operator(adj);
   util::Rng rng(3);
-  nn::GraphConvLayer layer(2, 3, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(2, 3, nn::Activation::ReLU, rng);
   layer.weight().value = Tensor::from_rows({{1, 0, 1}, {0, 1, 0}});  // W1 of Fig. 3
   Tensor x = Tensor::from_rows({{2, 1}, {0, 3}, {1, 1}, {4, 0}, {1, 2}});
   Tensor out = layer.forward(p, x);
@@ -56,7 +67,7 @@ TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
 
 TEST(GraphConvLayer, GradientsMatchNumericTanh) {
   util::Rng rng(4);
-  nn::GraphConvLayer layer(3, 2, nn::Activation::Tanh, rng);
+  nn::PaperGraphConv layer(3, 2, nn::Activation::Tanh, rng);
   SparseMatrix p = chain_prop();
   Tensor z = Tensor::uniform({3, 3}, rng, -1, 1);
 
@@ -90,20 +101,20 @@ TEST(GraphConvLayer, GradientsMatchNumericTanh) {
 
 TEST(GraphConvLayer, RejectsChannelMismatch) {
   util::Rng rng(5);
-  nn::GraphConvLayer layer(2, 2, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(2, 2, nn::Activation::ReLU, rng);
   SparseMatrix p = chain_prop();
   EXPECT_THROW(layer.forward(p, Tensor::zeros({3, 5})), std::invalid_argument);
 }
 
 TEST(GraphConvLayer, BackwardBeforeForwardThrows) {
   util::Rng rng(6);
-  nn::GraphConvLayer layer(2, 2, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(2, 2, nn::Activation::ReLU, rng);
   EXPECT_THROW(layer.backward(Tensor::zeros({3, 2})), std::logic_error);
 }
 
 TEST(GraphConvStack, ConcatHasAllLayerChannels) {
   util::Rng rng(7);
-  nn::GraphConvStack stack(11, {32, 16, 8}, nn::Activation::Tanh, rng);
+  nn::GraphConvStack stack(stack_config(11, {32, 16, 8}, nn::Activation::Tanh), rng);
   EXPECT_EQ(stack.total_channels(), 56u);
   EXPECT_EQ(stack.depth(), 3u);
   SparseMatrix p = chain_prop();
@@ -115,7 +126,7 @@ TEST(GraphConvStack, ConcatHasAllLayerChannels) {
 
 TEST(GraphConvStack, GradientsMatchNumeric) {
   util::Rng rng(8);
-  nn::GraphConvStack stack(2, {3, 2}, nn::Activation::Tanh, rng);
+  nn::GraphConvStack stack(stack_config(2, {3, 2}, nn::Activation::Tanh), rng);
   SparseMatrix p = chain_prop();
   Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
 
@@ -151,7 +162,7 @@ TEST(GraphConvStack, GradientsMatchNumeric) {
 
 TEST(GraphConvStack, RejectsEmptyChannels) {
   util::Rng rng(9);
-  EXPECT_THROW(nn::GraphConvStack(2, {}, nn::Activation::ReLU, rng),
+  EXPECT_THROW(nn::GraphConvStack(stack_config(2, {}), rng),
                std::invalid_argument);
 }
 
@@ -223,7 +234,7 @@ TEST(GraphConvOps, TagForwardMatchesDenseFormula) {
   EXPECT_TRUE(tensor::allclose(layer.forward(p, z), expected, 1e-12));
 }
 
-/// Shared numeric gradcheck over any operator (mirrors the GraphConvLayer
+/// Shared numeric gradcheck over any operator (mirrors the PaperGraphConv
 /// Tanh gradcheck above).
 void gradcheck_operator(nn::GraphConvOp& layer, std::size_t in_channels,
                         std::uint64_t seed) {
@@ -300,9 +311,9 @@ TEST(GraphConvStack, ConfigCtorCarriesOperator) {
   EXPECT_EQ(z.dim(1), 14u);
 }
 
-TEST(GraphConvStack, LegacyCtorIsPaperOperator) {
+TEST(GraphConvStack, DefaultConfigIsPaperOperator) {
   util::Rng rng(30);
-  nn::GraphConvStack stack(2, {3}, nn::Activation::ReLU, rng);
+  nn::GraphConvStack stack(stack_config(2, {3}), rng);
   EXPECT_EQ(stack.op_kind(), nn::GraphConvOperator::Paper);
 }
 
@@ -450,7 +461,7 @@ TEST(GraphConvGolden, PaperOperatorBitIdenticalToPreRefactorStack) {
 
   // Both sides consume the same Rng stream in the same order.
   util::Rng stack_rng(97);
-  nn::GraphConvStack stack(in, channels, act, stack_rng);
+  nn::GraphConvStack stack(stack_config(in, channels, act), stack_rng);
   util::Rng golden_rng(97);
   std::vector<GoldenLayer> golden;
   std::size_t prev = in;
@@ -502,7 +513,7 @@ TEST(GraphConvStack, IsolatedVerticesKeepOwnFeatures) {
   // With no edges, propagation is identity; one Identity-activation layer
   // reduces to Z W exactly.
   util::Rng rng(10);
-  nn::GraphConvStack stack(2, {2}, nn::Activation::Identity, rng);
+  nn::GraphConvStack stack(stack_config(2, {2}, nn::Activation::Identity), rng);
   SparseMatrix p = SparseMatrix::propagation_operator({{}, {}, {}});
   Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
   Tensor expected = tensor::matmul(x, stack.parameters()[0]->value);

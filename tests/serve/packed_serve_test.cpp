@@ -72,20 +72,6 @@ TEST(PackedServe, MicroBatchScoresPackedAndMatchesPredict) {
   EXPECT_GE(stats.packed_batches, 1u);
 }
 
-TEST(PackedServe, PerSampleEngineNeverPacks) {
-  ServeConfig config = one_worker_batching();
-  config.engine = core::PredictEngine::PerSample;
-  InferenceServer server(shared_classifier(), config);
-  std::vector<PendingVerdict> handles;
-  for (int i = 0; i < 6; ++i) {
-    handles.push_back(server.submit(small_graph(i % 2, 400 + static_cast<std::uint64_t>(i))));
-  }
-  for (auto& handle : handles) EXPECT_TRUE(handle.get().ok());
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 6u);
-  EXPECT_EQ(stats.packed_batches, 0u);
-}
-
 // Regression: every exception path of execute_batch must return the replica
 // to the pool. The server shares the classifier's cached pool, so the test
 // can watch lease accounting from outside.

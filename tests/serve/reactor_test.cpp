@@ -32,7 +32,7 @@ namespace magic::serve {
 namespace {
 
 using namespace std::chrono_literals;
-using testing::shared_classifier;
+using testing::one_version_registry;
 
 constexpr const char* kListing =
     "401000 mov eax, 1\n"
@@ -89,7 +89,7 @@ class BlockingControlService final : public ScanService {
 };
 
 TEST(Reactor, ManyConcurrentClientsEachSeeOrderedResponses) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("many");
   std::atomic<bool> stop{false};
   DaemonOptions options;
@@ -98,7 +98,7 @@ TEST(Reactor, ManyConcurrentClientsEachSeeOrderedResponses) {
   options.external_stop = &stop;
 
   std::uint64_t served = 0;
-  std::thread daemon([&] { served = run_unix_daemon(server, options); });
+  std::thread daemon([&] { served = run_unix_daemon(*registry, options); });
 
   constexpr int kClients = 8;
   constexpr int kRequests = 6;
@@ -138,14 +138,14 @@ TEST(Reactor, ManyConcurrentClientsEachSeeOrderedResponses) {
 }
 
 TEST(Reactor, StatsPayloadCarriesReactorBlock) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("stats");
   std::atomic<bool> stop{false};
   DaemonOptions options;
   options.socket_path = socket_path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -167,14 +167,14 @@ TEST(Reactor, StatsPayloadCarriesReactorBlock) {
 }
 
 TEST(Reactor, MalformedAndControlLinesAnswerOnSingleModelDaemon) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("malformed");
   std::atomic<bool> stop{false};
   DaemonOptions options;
   options.socket_path = socket_path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -192,14 +192,16 @@ TEST(Reactor, MalformedAndControlLinesAnswerOnSingleModelDaemon) {
   // Exactly one response per non-ignorable request line, in order.
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[0].find("\"status\":\"error\""), std::string::npos) << lines[0];
-  EXPECT_NE(lines[1].find("requires a model registry"), std::string::npos)
-      << lines[1];
+  // A reload of a checkpoint that does not exist answers an error line and
+  // leaves the default version serving the scan after it.
+  EXPECT_NE(lines[1].find("\"status\":\"error\""), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("cannot open"), std::string::npos) << lines[1];
   EXPECT_NE(lines[2].find("\"id\":\"m2\""), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("\"status\":\"ok\""), std::string::npos) << lines[2];
 }
 
 TEST(Reactor, TinyPendingWindowBackpressureKeepsOrder) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("backpressure");
   std::atomic<bool> stop{false};
   DaemonOptions options;
@@ -207,7 +209,7 @@ TEST(Reactor, TinyPendingWindowBackpressureKeepsOrder) {
   options.handle_signals = false;
   options.external_stop = &stop;
   options.max_pending_per_connection = 4;  // forces repeated pause/resume
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -287,7 +289,7 @@ TEST(Reactor, BlockedControlBarrierDoesNotStallOtherConnections) {
 }
 
 TEST(Reactor, FdExhaustionParksListenerAndRecovers) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("emfile");
   std::atomic<bool> stop{false};
   std::atomic<int> accept_errno{EMFILE};
@@ -296,7 +298,7 @@ TEST(Reactor, FdExhaustionParksListenerAndRecovers) {
   options.handle_signals = false;
   options.external_stop = &stop;
   options.inject_accept_errno = &accept_errno;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
 
   // connect() completes against the listener backlog even while accepts
   // fail; the injected EMFILE parks the listener, the backoff re-arms it,
@@ -319,7 +321,7 @@ TEST(Reactor, FdExhaustionParksListenerAndRecovers) {
 }
 
 TEST(Reactor, TinyReadChunkBudgetStillServesPipelinedBurst) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("readchunk");
   std::atomic<bool> stop{false};
   DaemonOptions options;
@@ -327,7 +329,7 @@ TEST(Reactor, TinyReadChunkBudgetStillServesPipelinedBurst) {
   options.handle_signals = false;
   options.external_stop = &stop;
   options.read_chunk_bytes = 128;  // far below the burst: many read passes
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -352,7 +354,7 @@ TEST(Reactor, TinyReadChunkBudgetStillServesPipelinedBurst) {
 }
 
 TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("nonreader");
   std::atomic<bool> stop{false};
   DaemonOptions options;
@@ -361,7 +363,7 @@ TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
   options.external_stop = &stop;
   options.drain_grace = 300ms;
   options.write_stall_timeout = 200ms;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -380,7 +382,7 @@ TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
 }
 
 TEST(Reactor, FatalLoopFaultTearsDownConnectionsAndThrows) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string socket_path = unique_socket_path("fault");
   std::atomic<bool> stop{false};
   std::atomic<bool> fault{false};
@@ -393,7 +395,7 @@ TEST(Reactor, FatalLoopFaultTearsDownConnectionsAndThrows) {
   std::exception_ptr error;
   std::thread daemon([&] {
     try {
-      run_unix_daemon(server, options);
+      run_unix_daemon(*registry, options);
     } catch (...) {
       error = std::current_exception();
     }
@@ -426,7 +428,7 @@ TEST(Reactor, FatalLoopFaultTearsDownConnectionsAndThrows) {
 }
 
 TEST(Reactor, BindRefusesToReplaceNonSocketFile) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   const std::string path = unique_socket_path("occupied");
   {
     std::ofstream out(path);
@@ -436,7 +438,7 @@ TEST(Reactor, BindRefusesToReplaceNonSocketFile) {
   options.socket_path = path;
   options.handle_signals = false;
   try {
-    run_unix_daemon(server, options);
+    run_unix_daemon(*registry, options);
     FAIL() << "expected bind to refuse a non-socket path";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("refusing"), std::string::npos)
@@ -462,13 +464,13 @@ TEST(Reactor, StaleSocketFileIsReplacedAndRemovedOnShutdown) {
     ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
     ::close(fd);
   }
-  InferenceServer server(shared_classifier(), reactor_config());
+  auto registry = one_version_registry(reactor_config());
   std::atomic<bool> stop{false};
   DaemonOptions options;
   options.socket_path = path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
   auto client = connect_retry(path);
   EXPECT_NE(client, nullptr);  // the stale file was replaced by a live listener
   client.reset();

@@ -8,8 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,7 +48,7 @@ const std::string& shared_checkpoint() {
   static const std::string path = [] {
     std::string p = ::testing::TempDir() + "magic_registry_ckpt_" +
                     std::to_string(::getpid()) + ".bin";
-    shared_classifier().save_file(p);
+    shared_classifier().save(p);
     return p;
   }();
   return path;
@@ -56,7 +56,7 @@ const std::string& shared_checkpoint() {
 
 std::unique_ptr<ModelRegistry> make_registry(const std::string& name = "v1") {
   auto model = std::make_unique<core::MagicClassifier>(
-      core::MagicClassifier::load_file(shared_checkpoint()));
+      core::MagicClassifier::load(shared_checkpoint()));
   return std::make_unique<ModelRegistry>(name, std::move(model),
                                          registry_config());
 }
@@ -294,14 +294,28 @@ TEST(ModelRegistry, WireReloadShadowAndOverrideEndToEnd) {
 
 TEST(ModelRegistry, StdioStreamServesControlLines) {
   auto registry = make_registry();
-  std::istringstream in("p1 b64 " + wire::base64_encode(kListing) +
-                        "\nreload v2 " + shared_checkpoint() +
-                        "\nshadow off\nstats\n");
-  std::ostringstream out;
-  const std::uint64_t served = serve_stream(in, out, *registry);
-  registry->drain();
+  const std::string requests = "p1 b64 " + wire::base64_encode(kListing) +
+                               "\nreload v2 " + shared_checkpoint() +
+                               "\nshadow off\nstats\n";
+  int in[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::write(in[1], requests.data(), requests.size()),
+            static_cast<ssize_t>(requests.size()));
+  ::close(in[1]);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  DaemonOptions options;
+  options.handle_signals = false;
+  const std::uint64_t served =
+      serve_stream(in[0], ::fileno(out), *registry, options);
+  ::close(in[0]);
   EXPECT_EQ(served, 1u);
-  const std::string text = out.str();
+  std::string text;
+  std::rewind(out);
+  for (int c = std::fgetc(out); c != EOF; c = std::fgetc(out)) {
+    text += static_cast<char>(c);
+  }
+  std::fclose(out);
   EXPECT_NE(text.find("\"id\":\"p1\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"op\":\"reload\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"mode\":\"off\""), std::string::npos) << text;

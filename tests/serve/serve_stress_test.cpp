@@ -1,7 +1,7 @@
 // Concurrency stress for magic::serve — the suite scripts/check.sh tsan is
 // pointed at. Every scenario here is about thread interleavings, not model
 // quality: many producers against a small queue, stop() racing active
-// producers, stats() readers during load, and predict_batch sharing the
+// producers, stats() readers during load, and classify() sharing the
 // replica pool with a live server.
 
 #include <atomic>
@@ -126,9 +126,9 @@ TEST(ServeStress, StatsReadersDuringLoad) {
 }
 
 // The server leases worker replicas from the classifier's cached pool; a
-// concurrent predict_batch over the same classifier must lease disjoint
-// replicas (this is exactly the collision the checked-mode forward guard
-// exists to catch).
+// concurrent multi-threaded classify() over the same classifier must lease
+// disjoint replicas (this is exactly the collision the checked-mode forward
+// guard exists to catch).
 TEST(ServeStress, PredictBatchConcurrentWithLiveServer) {
   core::MagicClassifier& clf = shared_classifier();
   ServeConfig config;
@@ -153,9 +153,10 @@ TEST(ServeStress, PredictBatchConcurrentWithLiveServer) {
     }
   });
 
-  util::ThreadPool pool(2);
+  const core::PredictOptions two_threads{
+      .threads = 2, .engine = core::PredictEngine::PerSample};
   for (int round = 0; round < 5; ++round) {
-    const auto predictions = clf.predict_batch(batch, pool);
+    const auto predictions = clf.classify(batch, two_threads);
     ASSERT_EQ(predictions.size(), batch.size());
   }
   go.store(false, std::memory_order_release);

@@ -1,12 +1,15 @@
 #pragma once
 // Shared fixture for the serve-layer tests: one small classifier trained on
 // the synthetic separable dataset (trained once per process, the suites
-// only ever read predictions from replicas).
+// only ever read predictions from replicas), and the one-version model
+// registry the front-end tests serve it through.
 
 #include <memory>
+#include <sstream>
 
 #include "magic/classifier.hpp"
 #include "magic/core_test_util.hpp"
+#include "serve/registry.hpp"
 
 namespace magic::serve::testing {
 
@@ -33,6 +36,19 @@ inline core::MagicClassifier& shared_classifier() {
     return built;
   }();
   return *clf;
+}
+
+/// A one-version ModelRegistry ("v1") over a copy of shared_classifier():
+/// the single-model daemon, as magicd serves one --model checkpoint.
+inline std::unique_ptr<ModelRegistry> one_version_registry(
+    const ServeConfig& config) {
+  std::stringstream checkpoint;
+  shared_classifier().save(checkpoint);
+  return std::make_unique<ModelRegistry>(
+      "v1",
+      std::make_unique<core::MagicClassifier>(
+          core::MagicClassifier::load(checkpoint)),
+      config);
 }
 
 /// A small scannable graph of the given label.

@@ -259,13 +259,14 @@ TEST(InferenceServer, SharesReplicaPoolWithPredictBatch) {
   const auto pool_before = clf.replica_pool();
   InferenceServer server(clf, quick_config());
   EXPECT_EQ(clf.replica_pool().get(), pool_before.get());
-  // While the server leases its workers' replicas, predict_batch still
-  // works against the same pool (it leases additional replicas).
-  util::ThreadPool threads(2);
+  // While the server leases its workers' replicas, classify() still works
+  // against the same pool (it leases additional replicas).
   std::vector<acfg::Acfg> batch;
   batch.reserve(6);
   for (int i = 0; i < 6; ++i) batch.push_back(small_graph(i % 2, 1000 + static_cast<std::uint64_t>(i)));
-  const auto direct = clf.predict_batch(batch, threads);
+  const auto direct = clf.classify(
+      batch, core::PredictOptions{.threads = 2,
+                                  .engine = core::PredictEngine::PerSample});
   ASSERT_EQ(direct.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Verdict served = server.scan(batch[i]);
