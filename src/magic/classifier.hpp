@@ -166,6 +166,13 @@ class MagicClassifier {
   static MagicClassifier load(std::istream& is);
   static MagicClassifier load(const std::string& path);
 
+  /// Bounds load() checks the checkpoint's header counts against before it
+  /// sizes anything from them; a larger count throws std::runtime_error as
+  /// a corrupt file instead of allocating gigabytes.
+  static constexpr std::size_t kMaxLoadFamilies = 1u << 16;
+  static constexpr std::size_t kMaxLoadFamilyNameBytes = 4096;
+  static constexpr std::size_t kMaxLoadGraphConvLayers = 256;
+
   /// Access for serialization/tests.
   DgcnnModel* model() noexcept { return model_.get(); }
   const DgcnnModel* model() const noexcept { return model_.get(); }

@@ -1,8 +1,8 @@
 #pragma once
 // The extended DGCNN of the paper (§III): graph convolution stack ->
 // {SortPooling -> Conv1D | SortPooling -> WeightedVertices |
-//  Conv2D -> AdaptiveMaxPooling -> VGG-style Conv2D stack} -> MLP ->
-// LogSoftmax.
+//  Conv2D -> ReLU -> AdaptiveMaxPooling (one fused streaming layer,
+//  nn::ConvAdaptiveMaxPool) -> VGG-style Conv2D stack} -> MLP -> LogSoftmax.
 //
 // Training processes one graph at a time (CFGs vary in size); batching is
 // gradient accumulation across consecutive forward/backward calls, which is
@@ -18,9 +18,9 @@
 #include "acfg/acfg.hpp"
 #include "magic/graph_batch.hpp"
 #include "nn/activations.hpp"
-#include "nn/adaptive_max_pool.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/conv_adaptive_pool.hpp"
 #include "nn/dropout.hpp"
 #include "nn/graph_conv.hpp"
 #include "nn/linear.hpp"
@@ -114,6 +114,8 @@ class DgcnnModel {
   /// Packed-batch inference: log-probabilities for every graph in `batch`,
   /// shape (N x num_classes), row i matching forward(graphs[i]) to within
   /// floating-point reassociation (in practice bitwise for the GEMM stages).
+  /// AdaptivePooling pools each graph's rows of the packed map in place;
+  /// the fixed-size pooled maps then share one head pass.
   ///
   /// Inference-only: throws std::logic_error while grad caching is enabled
   /// (call set_training(false) first); there is no batched backward. Like
@@ -163,17 +165,11 @@ class DgcnnModel {
 
   // SortPooling path.
   std::unique_ptr<nn::SortPooling> sort_pool_;
-  // AdaptivePooling path (pre-pool Conv2D + pooling itself).
-  std::unique_ptr<nn::Conv2D> pre_pool_conv_;
-  std::unique_ptr<nn::ReLU> pre_pool_act_;
-  std::unique_ptr<nn::AdaptiveMaxPool2D> adaptive_pool_;
+  // AdaptivePooling path: pre-pool Conv2D, ReLU and the pooling itself.
+  std::unique_ptr<nn::ConvAdaptiveMaxPool> pre_pool_;
 
   // Everything after pooling, expressed over reshaped tensors.
   nn::Sequential head_;
-
-  // Shapes cached from the last forward for backward-time reshapes.
-  tensor::Shape stack_out_shape_;
-  tensor::Shape pool_out_shape_;
 
   // The propagation operator must outlive backward.
   std::unique_ptr<tensor::SparseMatrix> last_prop_;

@@ -27,11 +27,21 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "magic/classifier.hpp"
 
 namespace magic::core {
 namespace {
+
+/// Rejects a header count above its bound before anything is sized by it.
+void check_count(std::size_t count, std::size_t bound, const char* what) {
+  if (count > bound) {
+    throw std::runtime_error("MagicClassifier::load: " + std::string(what) + " " +
+                             std::to_string(count) + " exceeds the limit of " +
+                             std::to_string(bound));
+  }
+}
 
 void expect(std::istream& is, const std::string& token) {
   std::string got;
@@ -121,6 +131,7 @@ MagicClassifier MagicClassifier::load(std::istream& is) {
   expect(is, "families");
   std::size_t n_families = 0;
   is >> n_families;
+  check_count(n_families, kMaxLoadFamilies, "family count");
   std::vector<std::string> names(n_families);
   if (version == "v1") {
     // Legacy whitespace-delimited names (correct only for space-free names,
@@ -132,6 +143,7 @@ MagicClassifier MagicClassifier::load(std::istream& is) {
       if (!(is >> len)) {
         throw std::runtime_error("MagicClassifier::load: truncated family table");
       }
+      check_count(len, kMaxLoadFamilyNameBytes, "family name length");
       is.get();  // the single separator byte after the length
       name.resize(len);
       if (len > 0 && !is.read(name.data(), static_cast<std::streamsize>(len))) {
@@ -186,6 +198,7 @@ MagicClassifier MagicClassifier::load(std::istream& is) {
   expect(is, "graph_conv");
   std::size_t depth = 0;
   is >> depth;
+  check_count(depth, kMaxLoadGraphConvLayers, "graph-conv depth");
   cfg.graph_conv_channels.assign(depth, 0);
   for (auto& ch : cfg.graph_conv_channels) is >> ch;
   if (!is) throw std::runtime_error("MagicClassifier::load: truncated header");

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "nn/init.hpp"
+#include "nn/mul_add.hpp"
 #include "nn/shape_contract.hpp"
 
 namespace magic::nn {
@@ -57,40 +58,50 @@ Tensor Conv2D::forward(const Tensor& input) {
   const std::size_t Ho = H + 2 * pad_ - kh_ + 1;
   const std::size_t Wo = W + 2 * pad_ - kw_ + 1;
   Tensor out({out_channels_, Ho, Wo});
-  convolve_into(input.data(), out.data(), H, W);
+  convolve_into(input.data(), out.data(), H, W, transposed_weight().data());
   return out;
 }
 
+std::vector<double> Conv2D::transposed_weight() const {
+  const std::size_t taps = in_channels_ * kh_ * kw_;
+  std::vector<double> t(taps * out_channels_);
+  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+    for (std::size_t k = 0; k < taps; ++k) {
+      t[k * out_channels_ + oc] = weight_.value[oc * taps + k];
+    }
+  }
+  return t;
+}
+
 void Conv2D::convolve_into(const double* pin, double* pout, std::size_t H,
-                           std::size_t W) const {
+                           std::size_t W, const double* taps) const {
   const std::size_t Ho = H + 2 * pad_ - kh_ + 1;
   const std::size_t Wo = W + 2 * pad_ - kw_ + 1;
-  // Kernel-offset decomposition: for each (ky, kx) the contribution is a
-  // shifted elementwise product, so the inner loop is a contiguous axpy.
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    double* ochan = pout + oc * Ho * Wo;
-    const double b = bias_.value[oc];
-    for (std::size_t i = 0; i < Ho * Wo; ++i) ochan[i] = b;
-    for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-      const double* ichan = pin + ic * H * W;
-      for (std::size_t ky = 0; ky < kh_; ++ky) {
-        std::size_t oy_lo, oy_hi;
-        valid_range(ky, pad_, H, Ho, oy_lo, oy_hi);
-        for (std::size_t kx = 0; kx < kw_; ++kx) {
-          std::size_t ox_lo, ox_hi;
-          valid_range(kx, pad_, W, Wo, ox_lo, ox_hi);
-          if (ox_hi <= ox_lo) continue;
-          const double w = weight_.value[((oc * in_channels_ + ic) * kh_ + ky) * kw_ + kx];
-          if (w == 0.0) continue;
-          for (std::size_t oy = oy_lo; oy < oy_hi; ++oy) {
-            const std::size_t iy = oy + ky - pad_;
-            const double* irow = ichan + iy * W + (ox_lo + kx - pad_);
-            double* orow = ochan + oy * Wo + ox_lo;
-            const std::size_t span = ox_hi - ox_lo;
-            for (std::size_t j = 0; j < span; ++j) orow[j] += w * irow[j];
+  const std::size_t co = out_channels_;
+  // One output position at a time, output channels innermost: every
+  // element accumulates its bias and then the in-bounds taps in
+  // (ic, ky, kx) order, and the inner loop is a contiguous multiply-add
+  // across channels. The AdaptivePooling head convolves g x g maps, whose
+  // rows are too short to vectorise along.
+  std::vector<double> acc(co);
+  for (std::size_t oy = 0; oy < Ho; ++oy) {
+    for (std::size_t ox = 0; ox < Wo; ++ox) {
+      for (std::size_t oc = 0; oc < co; ++oc) acc[oc] = bias_.value[oc];
+      for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+        for (std::size_t ky = 0; ky < kh_; ++ky) {
+          // Unsigned wrap-around sends taps in the top padding out of range.
+          const std::size_t iy = oy + ky - pad_;
+          if (iy >= H) continue;
+          for (std::size_t kx = 0; kx < kw_; ++kx) {
+            const std::size_t ix = ox + kx - pad_;
+            if (ix >= W) continue;
+            const double v = pin[(ic * H + iy) * W + ix];
+            const double* t = taps + ((ic * kh_ + ky) * kw_ + kx) * co;
+            for (std::size_t oc = 0; oc < co; ++oc) acc[oc] = mul_add(t[oc], v, acc[oc]);
           }
         }
       }
+      for (std::size_t oc = 0; oc < co; ++oc) pout[(oc * Ho + oy) * Wo + ox] = acc[oc];
     }
   }
 }
@@ -111,9 +122,10 @@ Tensor Conv2D::forward_batch(const Tensor& input) {
   const std::size_t Ho = H + 2 * pad_ - kh_ + 1;
   const std::size_t Wo = W + 2 * pad_ - kw_ + 1;
   Tensor out({batch, out_channels_, Ho, Wo});
+  const std::vector<double> taps = transposed_weight();
   for (std::size_t s = 0; s < batch; ++s) {
     convolve_into(input.data() + s * in_channels_ * H * W,
-                  out.data() + s * out_channels_ * Ho * Wo, H, W);
+                  out.data() + s * out_channels_ * Ho * Wo, H, W, taps.data());
   }
   return out;
 }

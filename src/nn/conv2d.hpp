@@ -1,10 +1,12 @@
 #pragma once
 // 2-D convolution over (channels x height x width) tensors.
 //
-// Used by the AdaptiveMaxPooling head (§III-C): a Conv2D runs over the
-// concatenated graph-convolution output Z^{1:h} (viewed as a one-channel
-// image) before adaptive max pooling, and a small VGG-inspired Conv2D stack
-// follows the pooling.
+// Used by the AdaptiveMaxPooling head (§III-C): the small VGG-inspired
+// Conv2D stack after the pooling. The Conv2D before the pooling runs fused
+// with its ReLU and the pooling (nn::ConvAdaptiveMaxPool), which matches
+// this layer element for element.
+
+#include <vector>
 
 #include "nn/module.hpp"
 #include "util/rng.hpp"
@@ -28,8 +30,12 @@ class Conv2D : public Module {
 
  private:
   /// Shared convolution core: one (C_in x H x W) image into (C_out x Ho x Wo).
+  /// `taps` is transposed_weight().
   void convolve_into(const double* pin, double* pout, std::size_t H,
-                     std::size_t W) const;
+                     std::size_t W, const double* taps) const;
+  /// The weight as (C_in*kh*kw x C_out): one row per kernel tap, output
+  /// channels contiguous.
+  std::vector<double> transposed_weight() const;
 
   std::size_t in_channels_;
   std::size_t out_channels_;

@@ -148,6 +148,9 @@ struct Conn {
   std::uint64_t serial = 0;
   std::string in;          ///< received bytes not yet parsed into lines
   std::size_t in_start = 0;
+  /// in[in_start, in_scanned) is known to hold no '\n': a line arriving in
+  /// many reads is searched once, not once per read.
+  std::size_t in_scanned = 0;
   std::deque<std::shared_ptr<Entry>> pending;
   std::string out;         ///< rendered responses not yet written
   std::size_t out_start = 0;
@@ -415,7 +418,8 @@ class Reactor {
         pause_read(conn);
         break;
       }
-      const std::size_t nl = conn.in.find('\n', conn.in_start);
+      const std::size_t nl =
+          conn.in.find('\n', std::max(conn.in_start, conn.in_scanned));
       std::string line;
       if (nl != std::string::npos) {
         line = conn.in.substr(conn.in_start, nl - conn.in_start);
@@ -424,14 +428,17 @@ class Reactor {
         line = conn.in.substr(conn.in_start);
         conn.in_start = conn.in.size();
       } else {
+        conn.in_scanned = conn.in.size();
         break;
       }
       handle_line(conn, line);
     }
     conn.in.erase(0, conn.in_start);
+    conn.in_scanned -= std::min(conn.in_scanned, conn.in_start);
     conn.in_start = 0;
     if (conn.read_closed) {
       conn.in.clear();  // `quit`: remaining input is never parsed
+      conn.in_scanned = 0;
       stop_reading(conn);
     } else if (conn.saw_eof && conn.in.empty()) {
       conn.read_closed = true;

@@ -1,6 +1,11 @@
 // Serialization format edge cases beyond the classifier round-trip tests.
 
+#include <sys/resource.h>
+
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -364,6 +369,51 @@ TEST(ModelIo, RejectsTruncatedFamilyTable) {
   text.replace(pos, entry.size(), "999999 " + first);
   std::stringstream corrupted(text);
   EXPECT_THROW(MagicClassifier::load(corrupted), std::runtime_error);
+}
+
+/// Peak resident set size of this process so far, in KiB (Linux ru_maxrss).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// Header counts are untrusted: each is checked against its bound before
+// anything is sized from it. Sized unchecked, "families 400000000" touches
+// 12.5 GB and a 9e9-byte name length 8.8 GB before the load fails.
+TEST(ModelIo, HugeHeaderCountsThrowWithoutAllocating) {
+  MagicClassifier clf = fitted_classifier(wv_config(), 16);
+  std::stringstream ss;
+  clf.save(ss);
+  const std::string text = ss.str();
+  auto mutate = [&text](const std::string& from, const std::string& to) {
+    std::string out = text;
+    const auto pos = out.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) out.replace(pos, from.size(), to);
+    return out;
+  };
+  const std::string& first = clf.family_names().front();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"family count", mutate("families 2", "families 400000000")},
+      {"family name length",
+       mutate(std::to_string(first.size()) + " " + first, "9000000000 " + first)},
+      {"graph-conv depth", mutate("graph_conv 2", "graph_conv 400000000")},
+  };
+
+  const long before = peak_rss_kib();
+  for (const auto& [what, checkpoint] : cases) {
+    std::stringstream in(checkpoint);
+    try {
+      MagicClassifier::load(in);
+      ADD_FAILURE() << what << ": expected rejection";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
+  // 64 MiB: far above what parsing a few-KiB checkpoint needs, far below
+  // any allocation sized by one of the counts above.
+  EXPECT_LT(peak_rss_kib() - before, 64L * 1024) << "peak RSS grew while loading";
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // every model variant, graph-size mix (1..500 vertices, k smaller than the
 // graph, edge-free graphs) and threading mode.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -168,6 +169,50 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, PackedEquivalence,
                              default: return "AdaptiveMaxPooling";
                            }
                          });
+
+// The paper's two best models (Table II) are AdaptivePooling ones, with
+// grids of 6 (MSKCFG: ratio 0.64) and 3 (YANCFG: ratio 0.2). Graphs with
+// fewer vertices than the grid side make every row window of the fused
+// pre-pool stage clamp onto the same few rows; the packed path must still
+// score each of them exactly like forward().
+TEST(PackedEquivalence, AdaptivePoolingGraphsSmallerThanGridMatchForward) {
+  DgcnnConfig mskcfg_best;  // Table II "Best Model for MSKCFG"
+  mskcfg_best.pooling = PoolingType::AdaptivePooling;
+  mskcfg_best.pooling_ratio = 0.64;
+  mskcfg_best.graph_conv_channels = {128, 64, 32, 32};
+  mskcfg_best.conv2d_channels = 16;
+  mskcfg_best.dropout_rate = 0.1;
+  DgcnnConfig yancfg_best = mskcfg_best;  // Table II "Best Model for YANCFG"
+  yancfg_best.pooling_ratio = 0.2;
+  yancfg_best.graph_conv_channels = {32, 32, 32, 32};
+  yancfg_best.dropout_rate = 0.5;
+  ASSERT_EQ(mskcfg_best.adaptive_grid(), 6u);
+  ASSERT_EQ(yancfg_best.adaptive_grid(), 3u);
+
+  for (const DgcnnConfig& cfg : {mskcfg_best, yancfg_best}) {
+    util::Rng init(96);
+    DgcnnModel model(cfg, init);
+    model.set_training(false);
+    util::Rng rng(97);
+    std::vector<acfg::Acfg> graphs;
+    for (std::size_t n : {1u, 2u, 1u, 5u, 2u, 46u}) {
+      graphs.push_back(make_graph(static_cast<int>(n % 2), n, n % 2 == 0, rng));
+    }
+    const GraphBatch batch = GraphBatch::pack(std::span<const acfg::Acfg>(graphs));
+    const nn::Tensor packed = model.predict_batch(batch);
+    ASSERT_EQ(packed.dim(0), graphs.size());
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      const nn::Tensor single = model.forward(graphs[i]);
+      for (std::size_t c = 0; c < cfg.num_classes; ++c) {
+        const double want = single[c];
+        EXPECT_NEAR(packed[i * cfg.num_classes + c], want,
+                    1e-9 * std::max(1.0, std::abs(want)))
+            << cfg.describe() << " graph " << i << " (n="
+            << graphs[i].num_vertices() << ") class " << c;
+      }
+    }
+  }
+}
 
 // classify() is const and safe from many threads at once: every concurrent
 // call must reproduce the single-threaded verdicts exactly.
