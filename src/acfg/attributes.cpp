@@ -21,11 +21,11 @@ std::string_view channel_name(std::size_t channel) noexcept {
   }
 }
 
-std::array<double, kNumChannels> block_attributes(const cfg::BasicBlock& block,
+std::array<double, kNumChannels> block_attributes(std::span<const asmx::Instruction> block,
                                                   std::size_t out_degree) noexcept {
   std::array<double, kNumChannels> a{};
-  for (const auto& inst : block.instructions) {
-    a[kNumericConstants] += static_cast<double>(inst.numeric_constant_count());
+  for (const auto& inst : block) {
+    a[kNumericConstants] += static_cast<double>(inst.immediates);
     const asmx::OpcodeClass c = inst.opclass;
     if (asmx::counts_as_transfer(c)) a[kTransferInsts] += 1.0;
     if (asmx::counts_as_call(c)) a[kCallInsts] += 1.0;
@@ -37,7 +37,7 @@ std::array<double, kNumChannels> block_attributes(const cfg::BasicBlock& block,
     a[kTotalInsts] += 1.0;
   }
   a[kOffspring] = static_cast<double>(out_degree);
-  a[kVertexInsts] = static_cast<double>(block.instructions.size());
+  a[kVertexInsts] = static_cast<double>(block.size());
   return a;
 }
 

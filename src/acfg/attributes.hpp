@@ -8,9 +8,10 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <string_view>
 
-#include "cfg/cfg.hpp"
+#include "asmx/instruction.hpp"
 
 namespace magic::acfg {
 
@@ -33,9 +34,10 @@ enum AttributeChannel : std::size_t {
 /// Human-readable channel names (Table I rows).
 std::string_view channel_name(std::size_t channel) noexcept;
 
-/// Computes the Table I attribute vector of one basic block.
+/// Computes the Table I attribute vector of one basic block from its run
+/// of instructions (cfg::ControlFlowGraph::instructions()).
 /// `out_degree` is the vertex's offspring count in the CFG.
-std::array<double, kNumChannels> block_attributes(const cfg::BasicBlock& block,
+std::array<double, kNumChannels> block_attributes(std::span<const asmx::Instruction> block,
                                                   std::size_t out_degree) noexcept;
 
 }  // namespace magic::acfg

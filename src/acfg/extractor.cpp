@@ -15,8 +15,8 @@ Acfg extract_acfg(const cfg::ControlFlowGraph& graph) {
   out.out_edges = graph.adjacency();
   out.attributes = tensor::Tensor({n, static_cast<std::size_t>(kNumChannels)});
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& block = graph.block(i);
-    const auto attrs = block_attributes(block, out.out_edges[i].size());
+    const auto attrs =
+        block_attributes(graph.instructions(graph.block(i)), out.out_edges[i].size());
     for (std::size_t c = 0; c < kNumChannels; ++c) {
       out.attributes[i * kNumChannels + c] = attrs[c];
     }

@@ -7,10 +7,16 @@
 // P : Z+ -> I" (§IV-A). Instructions carry the tag set
 // {start, branchTo, fallThrough, return} that the first pass computes and
 // the second pass (CfgBuilder) consumes.
+//
+// An Instruction keeps only what those passes, the Table I attributes and
+// the n-gram baseline read: address, size, opcode class, immediate count
+// and first branch target. Mnemonic and operand text stay in the listing;
+// the parser classifies them through string_views and drops them, so a
+// record is fixed-size and a Program is one flat array.
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace magic::asmx {
@@ -24,21 +30,18 @@ enum class OperandKind {
   Other,
 };
 
-/// One operand with its raw text and (when numeric) decoded value.
+/// One classified operand. `text` views the caller's buffer: the operand
+/// trimmed and with size/kind keywords ("short", "dword ptr", ...) peeled
+/// off, in its original case.
 struct Operand {
   OperandKind kind = OperandKind::Other;
-  std::string text;
-  std::uint64_t value = 0;  // immediates and targets
-
-  bool is_numeric() const noexcept {
-    return kind == OperandKind::Immediate || kind == OperandKind::Target;
-  }
+  std::string_view text;
 };
 
 /// Semantic groups used both by CFG construction (jump/call/return) and by
 /// the Table I block attributes (transfer/call/arith/compare/mov/termination/
 /// data declaration).
-enum class OpcodeClass {
+enum class OpcodeClass : std::uint8_t {
   ConditionalJump,
   UnconditionalJump,
   Call,
@@ -55,25 +58,20 @@ enum class OpcodeClass {
 /// (Algorithm 1 of the paper).
 struct Instruction {
   std::uint64_t addr = 0;
+  /// First branch/call target operand of a control transfer (a resolved
+  /// label or a hex address); findDstAddr of Algorithm 1 reads it.
+  std::optional<std::uint64_t> target;
   std::uint32_t size = 1;  // bytes; fall-through target is addr + size
-  std::string mnemonic;
-  std::vector<Operand> operands;
+  /// Numeric-constant operands (Table I attribute). Always 0 on control
+  /// transfers, whose numbers are targets.
+  std::uint32_t immediates = 0;
   OpcodeClass opclass = OpcodeClass::Other;
 
   // --- tags written by the first (tagging) pass --------------------------
   bool start = false;                        // begins a basic block
-  std::optional<std::uint64_t> branch_to;    // jump/call destination
   bool fall_through = false;                 // control may reach addr + size
   bool is_return = false;
-
-  /// Number of numeric-constant operands (Table I attribute).
-  std::size_t numeric_constant_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& op : operands) {
-      if (op.kind == OperandKind::Immediate) ++n;
-    }
-    return n;
-  }
+  std::optional<std::uint64_t> branch_to;    // jump/call destination
 };
 
 /// A program: instructions sorted by strictly increasing address.

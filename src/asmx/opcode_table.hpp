@@ -13,7 +13,7 @@
 
 namespace magic::asmx {
 
-/// Classifies a lower-case mnemonic.
+/// Classifies a mnemonic, in any ASCII letter case.
 OpcodeClass classify_mnemonic(std::string_view mnemonic) noexcept;
 
 /// True for classes that may transfer control away from the next address.

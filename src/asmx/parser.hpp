@@ -13,6 +13,11 @@
 // sizes are inferred from the gap to the next address (the last instruction
 // gets size 1), which is exactly what the fall-through rule addr + size
 // needs.
+//
+// Parsing copies no text: each line is classified through string_views
+// into a fixed-size Instruction (see instruction.hpp), so the only
+// allocations are the growing instruction array, label names, the list of
+// label references and diagnostics.
 
 #include <string>
 #include <string_view>
@@ -40,13 +45,15 @@ struct ParseResult {
 /// real-world disassembly.
 ParseResult parse_listing(std::string_view text);
 
-/// Parses a single operand string into its classification.
+/// Classifies a single operand, in any letter case. The result's `text`
+/// views `text`, so it lives as long as the caller's buffer.
 Operand parse_operand(std::string_view text);
 
 /// Parses "401000", "0x401000" or "401000h"; returns false if not numeric.
 bool parse_number(std::string_view text, std::uint64_t& out) noexcept;
 
-/// True if `name` names an x86 register (any common 8/16/32/64-bit one).
+/// True if `name` names an x86 register (any common 8/16/32/64-bit one),
+/// in any letter case.
 bool is_register_name(std::string_view name) noexcept;
 
 }  // namespace magic::asmx

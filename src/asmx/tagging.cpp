@@ -15,13 +15,6 @@ void apply_visitor(Program& program, InstructionVisitor& visitor) {
   }
 }
 
-std::optional<std::uint64_t> TaggingPass::find_dst_addr(const Instruction& inst) noexcept {
-  for (const auto& op : inst.operands) {
-    if (op.kind == OperandKind::Target) return op.value;
-  }
-  return std::nullopt;
-}
-
 bool TaggingPass::mark_start_at(Program& p, std::uint64_t addr) noexcept {
   const std::size_t idx = p.index_of(addr);
   if (idx == Program::npos) {
@@ -42,10 +35,11 @@ void TaggingPass::run(Program& program) {
 
 // Algorithm 1 of the paper, verbatim: the conditional jump branches to its
 // target (marking it a leader) and falls through to the next instruction
-// (also a leader).
+// (also a leader). findDstAddr is the parser's `target` field: the first
+// target operand that resolved.
 void TaggingPass::visit_conditional_jump(Program& p, std::size_t i) {
   Instruction& cj = p.instructions[i];
-  if (auto dst = find_dst_addr(cj)) {
+  if (const auto dst = cj.target) {
     if (mark_start_at(p, *dst)) cj.branch_to = *dst;
   }
   cj.fall_through = true;
@@ -54,7 +48,7 @@ void TaggingPass::visit_conditional_jump(Program& p, std::size_t i) {
 
 void TaggingPass::visit_unconditional_jump(Program& p, std::size_t i) {
   Instruction& j = p.instructions[i];
-  if (auto dst = find_dst_addr(j)) {
+  if (const auto dst = j.target) {
     if (mark_start_at(p, *dst)) j.branch_to = *dst;
   }
   j.fall_through = false;
@@ -68,7 +62,7 @@ void TaggingPass::visit_unconditional_jump(Program& p, std::size_t i) {
 // site. External callees (no instruction at the target) produce no edge.
 void TaggingPass::visit_call(Program& p, std::size_t i) {
   Instruction& c = p.instructions[i];
-  if (auto dst = find_dst_addr(c)) {
+  if (const auto dst = c.target) {
     if (mark_start_at(p, *dst)) c.branch_to = *dst;
   }
   c.fall_through = true;

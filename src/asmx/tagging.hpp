@@ -53,9 +53,6 @@ class TaggingPass : public InstructionVisitor {
   std::size_t unresolved_targets() const noexcept { return unresolved_targets_; }
 
  private:
-  /// findDstAddr helper of Algorithm 1: first Target operand, if any.
-  static std::optional<std::uint64_t> find_dst_addr(const Instruction& inst) noexcept;
-
   /// Marks P[addr].start when addr maps to an instruction; otherwise counts
   /// it as unresolved and returns false.
   bool mark_start_at(Program& p, std::uint64_t addr) noexcept;

@@ -27,6 +27,32 @@ std::string CacheStats::to_json() const {
   return os.str();
 }
 
+VerdictCache::Entry::Entry(const CacheKey& k, const CachedVerdict& v, std::size_t cost,
+                           std::pmr::memory_resource* pool)
+    : key(k),
+      family_index(v.family_index),
+      family_name(v.family_name, pool),
+      probabilities(v.probabilities.begin(), v.probabilities.end(), pool),
+      embedding(v.embedding.begin(), v.embedding.end(), pool),
+      bytes(cost) {}
+
+void VerdictCache::Entry::assign(const CachedVerdict& v, std::size_t cost) {
+  family_index = v.family_index;
+  family_name.assign(v.family_name);
+  probabilities.assign(v.probabilities.begin(), v.probabilities.end());
+  embedding.assign(v.embedding.begin(), v.embedding.end());
+  bytes = cost;
+}
+
+CachedVerdict VerdictCache::Entry::copy() const {
+  CachedVerdict out;
+  out.family_index = family_index;
+  out.family_name.assign(family_name);
+  out.probabilities.assign(probabilities.begin(), probabilities.end());
+  out.embedding.assign(embedding.begin(), embedding.end());
+  return out;
+}
+
 VerdictCache::VerdictCache(CacheConfig config)
     : config_(config), shards_(std::max<std::size_t>(1, config.shards)) {
   config_.shards = shards_.size();
@@ -49,7 +75,7 @@ std::optional<CachedVerdict> VerdictCache::get(const CacheKey& key) {
     if (it != shard.index.end()) {
       // Touch: move to the MRU end while the lock pins the iterator.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      CachedVerdict copy = it->second->value;
+      CachedVerdict copy = it->second->copy();
       bump(hits_, global_.hits);
       return copy;
     }
@@ -58,7 +84,7 @@ std::optional<CachedVerdict> VerdictCache::get(const CacheKey& key) {
   return std::nullopt;
 }
 
-void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
+void VerdictCache::insert(const CacheKey& key, const CachedVerdict& value) {
   const std::size_t cost = value.bytes();
   if (cost > shard_budget_) {
     // Would evict the whole shard and still not amortize: refuse rather
@@ -76,8 +102,7 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
     if (it != shard.index.end()) {
       // Refresh: replace the value in place and touch.
       shard.bytes -= it->second->bytes;
-      it->second->value = std::move(value);
-      it->second->bytes = cost;
+      it->second->assign(value, cost);
       shard.bytes += cost;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     } else {
@@ -88,7 +113,7 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
         shard.lru.pop_back();
         ++evicted;
       }
-      shard.lru.push_front(Entry{key, std::move(value), cost});
+      shard.lru.emplace_front(key, value, cost, &shard.pool);
       shard.index.emplace(key, shard.lru.begin());
       shard.bytes += cost;
     }
@@ -109,8 +134,11 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
 void VerdictCache::clear() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(shard.mutex);
+    // Replace the index rather than clear() it, so its bucket array goes
+    // back to the pool too, then hand the pool's chunks back to the heap.
+    shard.index = Index(&shard.pool);
     shard.lru.clear();
-    shard.index.clear();
+    shard.pool.release();
     shard.bytes = 0;
   }
 }

@@ -22,9 +22,21 @@
 // can cost kilobytes. Each shard owns max_bytes / shards; inserting past
 // the bound evicts least-recently-used entries until the new entry fits.
 // An entry larger than a whole shard budget is not cached at all
-// (oversized counter). There is no TTL: content hashes never go stale —
-// the same bytes always classify the same way for a fixed model — so
-// recency is the only eviction signal. Model hot-swaps must drop the cache
+// (oversized counter). Each shard allocates its LRU list nodes, index
+// nodes and the stored names, probabilities and embeddings from its own
+// std::pmr::unsynchronized_pool_resource (guarded by the shard mutex), not
+// from the general heap. Entries live long and are allocated by the
+// inference worker between its short-lived batch tensors; from malloc
+// each one lands between freed tensor blocks and pins them. In a
+// perfbench scan_sortpool_dup run with plain-heap entries, malloc_info
+// showed one thread arena at 82 MiB, 74 MiB of it free in 4,337 chunks,
+// and peak RSS was 178 MiB; with the pools, 112 MiB (DESIGN.md, "Verdict
+// cache"). Evicted entries return their blocks to the shard pool for the
+// next insert, and clear() releases the pools.
+//
+// There is no TTL: content hashes never go stale — the same bytes always
+// classify the same way for a fixed model — so recency is the only
+// eviction signal. Model hot-swaps must drop the cache
 // (verdicts are per-model); servers own their cache instance, so a new
 // server over new weights starts cold by construction.
 //
@@ -36,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -112,7 +125,7 @@ class VerdictCache {
   /// Inserts (or refreshes) `value` under `key`, evicting LRU entries of
   /// the shard until it fits. An entry larger than the per-shard budget is
   /// dropped (counted as oversized, not inserted).
-  void insert(const CacheKey& key, CachedVerdict value);
+  void insert(const CacheKey& key, const CachedVerdict& value);
 
   /// Drops every entry (counters keep accumulating).
   void clear();
@@ -124,21 +137,33 @@ class VerdictCache {
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
  private:
+  /// A resident verdict; its storage comes from the shard's pool.
   struct Entry {
+    Entry(const CacheKey& k, const CachedVerdict& v, std::size_t cost,
+          std::pmr::memory_resource* pool);
+    void assign(const CachedVerdict& v, std::size_t cost);
+    CachedVerdict copy() const;
+
     CacheKey key;
-    CachedVerdict value;
-    std::size_t bytes = 0;
+    std::size_t family_index = 0;
+    std::pmr::string family_name;
+    std::pmr::vector<double> probabilities;
+    std::pmr::vector<double> embedding;
+    std::size_t bytes = 0;  // cost of the inserted CachedVerdict
   };
-  using LruList = std::list<Entry>;
+  using LruList = std::pmr::list<Entry>;
+  using Index = std::pmr::unordered_map<CacheKey, LruList::iterator, CacheKeyHash>;
 
   /// One independent LRU domain. The shard mutex is a leaf lock: nothing
   /// else is ever acquired while it is held.
   struct Shard {
     mutable util::Mutex mutex;
+    /// Backs every allocation of lru and index (declared first, so it
+    /// outlives them).
+    std::pmr::unsynchronized_pool_resource pool MAGIC_GUARDED_BY(mutex);
     /// front = most recently used, back = eviction candidate.
-    LruList lru MAGIC_GUARDED_BY(mutex);
-    std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> index
-        MAGIC_GUARDED_BY(mutex);
+    LruList lru MAGIC_GUARDED_BY(mutex){&pool};
+    Index index MAGIC_GUARDED_BY(mutex){&pool};
     std::size_t bytes MAGIC_GUARDED_BY(mutex) = 0;
   };
 

@@ -50,7 +50,7 @@ std::vector<std::vector<std::size_t>> ControlFlowGraph::adjacency() const {
 
 std::size_t ControlFlowGraph::num_instructions() const noexcept {
   std::size_t n = 0;
-  for (const auto& b : blocks_) n += b.instructions.size();
+  for (const auto& b : blocks_) n += b.count;
   return n;
 }
 
@@ -59,7 +59,7 @@ std::string ControlFlowGraph::to_dot() const {
   oss << "digraph cfg {\n  node [shape=box];\n";
   for (const auto& b : blocks_) {
     oss << "  b" << b.id << " [label=\"0x" << std::hex << b.start_addr << std::dec
-        << "\\n" << b.instructions.size() << " insts\"];\n";
+        << "\\n" << b.count << " insts\"];\n";
   }
   for (const auto& b : blocks_) {
     for (BlockId s : b.successors) {

@@ -2,10 +2,16 @@
 // Control flow graph: vertices are basic blocks ("a straight sequence of
 // code or assembly instructions without any control flow transition except
 // at its exit"), edges are fall-through or branch transitions (§II-A).
+//
+// The graph owns the asmx::Program it was built from; a block is a run of
+// consecutive instructions in it (first index + count), not a copy. Runs
+// are indices, so copying or moving a graph keeps them valid.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "asmx/instruction.hpp"
@@ -15,11 +21,13 @@ namespace magic::cfg {
 using BlockId = std::size_t;
 inline constexpr BlockId kInvalidBlock = static_cast<BlockId>(-1);
 
-/// A basic block: contiguous instructions plus out-edges to successor blocks.
+/// A basic block: a run of contiguous instructions of the graph's program
+/// plus out-edges to successor blocks.
 struct BasicBlock {
   BlockId id = kInvalidBlock;
   std::uint64_t start_addr = 0;
-  std::vector<asmx::Instruction> instructions;
+  std::size_t first = 0;  // program index of the first instruction
+  std::size_t count = 0;  // instructions in the run
   std::vector<BlockId> successors;  // in insertion order; duplicates removed
 
   /// Appends a successor edge if not already present.
@@ -29,8 +37,20 @@ struct BasicBlock {
 /// Directed control flow graph over basic blocks.
 class ControlFlowGraph {
  public:
+  ControlFlowGraph() = default;
+  /// An edgeless graph over `program`; blocks are added by CfgBuilder.
+  explicit ControlFlowGraph(asmx::Program program) : program_(std::move(program)) {}
+
   /// Creates a new empty block starting at `addr` and returns its id.
   BlockId add_block(std::uint64_t addr);
+
+  /// The program the block runs index into.
+  const asmx::Program& program() const noexcept { return program_; }
+
+  /// The instructions of block `b` (a view into program()).
+  std::span<const asmx::Instruction> instructions(const BasicBlock& b) const noexcept {
+    return std::span<const asmx::Instruction>(program_.instructions).subspan(b.first, b.count);
+  }
 
   BasicBlock& block(BlockId id) { return blocks_.at(id); }
   const BasicBlock& block(BlockId id) const { return blocks_.at(id); }
@@ -55,6 +75,7 @@ class ControlFlowGraph {
   std::string to_dot() const;
 
  private:
+  asmx::Program program_;
   std::vector<BasicBlock> blocks_;
   std::unordered_map<std::uint64_t, BlockId> by_addr_;
 };

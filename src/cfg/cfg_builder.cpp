@@ -3,6 +3,7 @@
 #include "asmx/parser.hpp"
 #include "asmx/tagging.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 
 namespace magic::cfg {
 
@@ -21,9 +22,11 @@ BlockId CfgBuilder::get_block_at_addr(ControlFlowGraph& g, std::uint64_t addr) {
 //   3. if it branches, connect current -> block(branchTo) (creating the
 //      target block if it does not exist yet);
 //   4. append it to the current block and advance.
-ControlFlowGraph CfgBuilder::connect_blocks(const asmx::Program& program) {
-  ControlFlowGraph g;
-  const auto& insts = program.instructions;
+// A block only ever grows by the instruction after its last one, so
+// "append" extends the block's index run.
+ControlFlowGraph CfgBuilder::connect_blocks(asmx::Program program) {
+  ControlFlowGraph g(std::move(program));
+  const auto& insts = g.program().instructions;
   BlockId curr_block = kInvalidBlock;
   for (std::size_t i = 0; i < insts.size(); ++i) {
     const asmx::Instruction& inst = insts[i];
@@ -43,7 +46,11 @@ ControlFlowGraph CfgBuilder::connect_blocks(const asmx::Program& program) {
       g.block(curr_block).add_successor(target);
     }
 
-    g.block(curr_block).instructions.push_back(inst);
+    BasicBlock& block = g.block(curr_block);
+    if (block.count == 0) block.first = i;
+    MAGIC_DCHECK(block.first + block.count == i,
+                 "block at 0x" << std::hex << block.start_addr << " is not contiguous");
+    ++block.count;
     curr_block = next_block;
   }
   return g;
@@ -57,7 +64,7 @@ ControlFlowGraph CfgBuilder::build_from_listing(std::string_view listing) {
   asmx::TaggingPass tagger;
   tagger.run(parsed.program);
   CfgBuilder builder;
-  return builder.connect_blocks(parsed.program);
+  return builder.connect_blocks(std::move(parsed.program));
 }
 
 }  // namespace magic::cfg

@@ -11,10 +11,11 @@ namespace magic::cfg {
 /// Builds a ControlFlowGraph from a tagged program.
 class CfgBuilder {
  public:
-  /// Runs Algorithm 2 over `program`. The program must already be tagged
-  /// (its first instruction marked `start`); build_from_listing() wraps
-  /// parse + tag + build for convenience.
-  ControlFlowGraph connect_blocks(const asmx::Program& program);
+  /// Runs Algorithm 2 over `program`, which the returned graph then owns
+  /// (pass an rvalue to hand it over without a copy). The program must
+  /// already be tagged (its first instruction marked `start`);
+  /// build_from_listing() wraps parse + tag + build for convenience.
+  ControlFlowGraph connect_blocks(asmx::Program program);
 
   /// One-shot pipeline: parse a textual listing, run the tagging pass and
   /// Algorithm 2. Diagnostics from parsing are dropped; use the staged API

@@ -130,7 +130,7 @@ void InferenceServer::cache_store(const Queued& request,
   value.family_index = prediction.family_index;
   value.family_name = prediction.family_name;
   value.probabilities = prediction.probabilities;
-  cache_->insert(request.cache_key, std::move(value));
+  cache_->insert(request.cache_key, value);
 }
 
 void InferenceServer::worker_loop(std::size_t) {

@@ -14,18 +14,6 @@ std::string_view trim(std::string_view s) noexcept {
   return s.substr(b, e - b);
 }
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> split_whitespace(std::string_view s) {
   std::vector<std::string> out;
   std::size_t i = 0;
@@ -35,12 +23,6 @@ std::vector<std::string> split_whitespace(std::string_view s) {
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
   }
-  return out;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
 }
 

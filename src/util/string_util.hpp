@@ -10,14 +10,8 @@ namespace magic::util {
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view s) noexcept;
 
-/// Splits on a single delimiter character; empty fields are preserved.
-std::vector<std::string> split(std::string_view s, char delim);
-
 /// Splits on runs of ASCII whitespace; no empty fields are produced.
 std::vector<std::string> split_whitespace(std::string_view s);
-
-/// ASCII lowercase copy.
-std::string to_lower(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;

@@ -7,15 +7,12 @@
 namespace magic::acfg {
 namespace {
 
-cfg::BasicBlock block_from(const std::string& listing) {
-  asmx::ParseResult r = asmx::parse_listing(listing);
-  cfg::BasicBlock b;
-  b.instructions = std::move(r.program.instructions);
-  return b;
+std::vector<asmx::Instruction> block_from(const std::string& listing) {
+  return asmx::parse_listing(listing).program.instructions;
 }
 
 TEST(Attributes, TableOneCountsPerBucket) {
-  cfg::BasicBlock b = block_from(
+  const auto b = block_from(
       "401000 mov eax, 5\n"     // mov + 1 numeric const
       "401005 add eax, 2\n"     // arith + 1 numeric const
       "401008 cmp eax, 7\n"     // compare + 1 numeric const
@@ -40,8 +37,7 @@ TEST(Attributes, TableOneCountsPerBucket) {
 }
 
 TEST(Attributes, EmptyBlockAllZeroExceptOffspring) {
-  cfg::BasicBlock b;
-  const auto a = block_attributes(b, 3);
+  const auto a = block_attributes({}, 3);
   for (std::size_t c = 0; c < kNumChannels; ++c) {
     if (c == kOffspring) {
       EXPECT_EQ(a[c], 3.0);
@@ -65,7 +61,7 @@ TEST(Attributes, ChannelNamesAreDistinct) {
 }
 
 TEST(Attributes, UnknownMnemonicsCountOnlyInTotals) {
-  cfg::BasicBlock b = block_from("401000 frobnicate eax\n");
+  const auto b = block_from("401000 frobnicate eax\n");
   const auto a = block_attributes(b, 0);
   EXPECT_EQ(a[kTotalInsts], 1.0);
   EXPECT_EQ(a[kMovInsts], 0.0);

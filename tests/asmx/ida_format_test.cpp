@@ -40,37 +40,36 @@ TEST(IdaFormat, SameLineLabelsResolve) {
   const auto r = parse_listing(kIdaListing);
   // jz short loc_401010 must resolve to 0x401010.
   const auto& jz = r.program.instructions[4];
-  EXPECT_EQ(jz.mnemonic, "jz");
-  ASSERT_EQ(jz.operands.size(), 1u);
-  EXPECT_EQ(jz.operands[0].kind, OperandKind::Target);
-  EXPECT_EQ(jz.operands[0].value, 0x401010u);
+  EXPECT_EQ(jz.opclass, OpcodeClass::ConditionalJump);
+  ASSERT_TRUE(jz.target.has_value());
+  EXPECT_EQ(*jz.target, 0x401010u);
 }
 
 TEST(IdaFormat, ShortKeywordStripped) {
   const auto r = parse_listing(".text:00401000 jmp short 0x401005\n");
   const auto& jmp = r.program.instructions[0];
-  ASSERT_EQ(jmp.operands.size(), 1u);
-  EXPECT_EQ(jmp.operands[0].kind, OperandKind::Target);
-  EXPECT_EQ(jmp.operands[0].value, 0x401005u);
+  ASSERT_TRUE(jmp.target.has_value());
+  EXPECT_EQ(*jmp.target, 0x401005u);
 }
 
 TEST(IdaFormat, DwordPtrOperandIsMemory) {
   const auto r = parse_listing(".text:00401000 mov eax, dword ptr [ebp+8]\n");
-  EXPECT_EQ(r.program.instructions[0].operands[1].kind, OperandKind::Memory);
+  EXPECT_EQ(parse_operand("dword ptr [ebp+8]").kind, OperandKind::Memory);
+  EXPECT_EQ(r.program.instructions[0].immediates, 0u);
 }
 
 TEST(IdaFormat, OffsetKeywordStripped) {
   const auto r = parse_listing(".text:00401000 push offset 0x403000\n");
   // push is not a control transfer, so a numeric stays Immediate.
-  EXPECT_EQ(r.program.instructions[0].operands[0].kind, OperandKind::Immediate);
+  EXPECT_EQ(r.program.instructions[0].immediates, 1u);
 }
 
 TEST(IdaFormat, LabelOnlyLinesProduceNoInstruction) {
   const auto r = parse_listing(
       ".text:00401000 loc_401000:\n"
       ".text:00401000 nop\n");
-  EXPECT_EQ(r.program.instructions.size(), 1u);
-  EXPECT_EQ(r.program.instructions[0].mnemonic, "nop");
+  ASSERT_EQ(r.program.instructions.size(), 1u);
+  EXPECT_EQ(r.program.instructions[0].opclass, OpcodeClass::Other);
 }
 
 TEST(IdaFormat, FullPipelineBuildsExpectedCfg) {

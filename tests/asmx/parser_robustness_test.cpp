@@ -43,7 +43,7 @@ TEST(ParserRobustness, VeryLongLinesHandled) {
 TEST(ParserRobustness, MissingNewlineAtEof) {
   const auto r = parse_listing("401000 ret");
   ASSERT_EQ(r.program.instructions.size(), 1u);
-  EXPECT_EQ(r.program.instructions[0].mnemonic, "ret");
+  EXPECT_EQ(r.program.instructions[0].opclass, OpcodeClass::Return);
 }
 
 TEST(ParserRobustness, RandomPrintableGarbageNeverCrashes) {
@@ -93,16 +93,15 @@ TEST(ParserRobustness, DuplicateLabelsLastOneWins) {
       "401001 nop\n"
       "401002 jmp loc_a\n");
   const auto& jmp = r.program.instructions[2];
-  ASSERT_TRUE(jmp.operands[0].kind == OperandKind::Target);
-  EXPECT_EQ(jmp.operands[0].value, 0x401001u);
+  ASSERT_TRUE(jmp.target.has_value());
+  EXPECT_EQ(*jmp.target, 0x401001u);
 }
 
 TEST(ParserRobustness, MixedCaseAndSpacing) {
   const auto r = parse_listing("  401000\tMOV\teax ,\t5 \n");
   ASSERT_EQ(r.program.instructions.size(), 1u);
-  EXPECT_EQ(r.program.instructions[0].mnemonic, "mov");
-  EXPECT_EQ(r.program.instructions[0].operands.size(), 2u);
-  EXPECT_EQ(r.program.instructions[0].operands[1].value, 5u);
+  EXPECT_EQ(r.program.instructions[0].opclass, OpcodeClass::Mov);
+  EXPECT_EQ(r.program.instructions[0].immediates, 1u);
 }
 
 }  // namespace

@@ -142,6 +142,15 @@ TEST(VerdictCache, ClearDropsEntriesButKeepsCounters) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     EXPECT_FALSE(cache.get(key_of(i)).has_value());
   }
+  // clear() also hands the shard pools back; the cache keeps working.
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    cache.insert(key_of(i), verdict_of(static_cast<std::size_t>(i)));
+  }
+  const auto again = cache.get(key_of(3));
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->family_index, verdict_of(3).family_index);
+  EXPECT_EQ(again->probabilities, verdict_of(3).probabilities);
+  EXPECT_EQ(cache.stats().entries, 10u);
 }
 
 TEST(VerdictCache, ShardCountClampedToAtLeastOne) {

@@ -16,30 +16,12 @@ TEST(StringUtil, TrimRemovesBothEnds) {
   EXPECT_EQ(trim("   "), "");
 }
 
-TEST(StringUtil, SplitPreservesEmptyFields) {
-  const auto parts = split("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-}
-
-TEST(StringUtil, SplitSingleToken) {
-  const auto parts = split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(StringUtil, SplitWhitespaceSkipsRuns) {
   const auto parts = split_whitespace("  mov   eax,  1 ");
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0], "mov");
   EXPECT_EQ(parts[1], "eax,");
   EXPECT_EQ(parts[2], "1");
-}
-
-TEST(StringUtil, ToLowerAsciiOnly) {
-  EXPECT_EQ(to_lower("MoV EaX"), "mov eax");
 }
 
 TEST(StringUtil, StartsWith) {
