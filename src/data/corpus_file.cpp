@@ -223,6 +223,21 @@ PackedCorpus::PackedCorpus(const std::string& path) {
       fail(path, "payload hash mismatch (tampered or corrupt)");
     }
 
+    // The counts sit in the header, outside the payload hash, so an edited
+    // count passes the hash check. Each must fit the bytes after its table
+    // offset (8 per family name length, 16 per sample table entry) before
+    // anything is sized from it.
+    auto require_table = [&](const char* what, std::uint64_t count,
+                             std::uint64_t offset, std::uint64_t entry_bytes) {
+      if (offset > map_size_ || count > (map_size_ - offset) / entry_bytes) {
+        fail(path, std::string(what) + " count " + std::to_string(count) +
+                       " does not fit the " + std::to_string(map_size_) +
+                       "-byte file");
+      }
+    };
+    require_table("family", h.num_families, h.family_table_offset, 8);
+    require_table("sample", h.num_samples, h.sample_table_offset, 16);
+
     channels_ = h.channels;
     sample_count_ = h.num_samples;
 

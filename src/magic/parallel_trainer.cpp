@@ -1,13 +1,13 @@
 #include "magic/parallel_trainer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -25,6 +25,11 @@ constexpr bool kObsCompiled = true;
 #else
 constexpr bool kObsCompiled = false;
 #endif
+
+// Elements per shard of the step pass: small enough that a parameter of a
+// few hundred thousand elements spreads over every lane, large enough that
+// claiming a shard costs nothing next to summing ten slot buffers over it.
+constexpr std::size_t kShardElements = 4096;
 
 }  // namespace
 
@@ -92,6 +97,36 @@ void ParallelTrainer::sync_replicas() {
   }
 }
 
+void ParallelTrainer::for_each_claimed(
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t lanes = std::min(threads_, n);
+  if (lanes <= 1 || !pool_) {
+    for (std::size_t k = 0; k < n; ++k) fn(0, k);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  pool_->parallel_for(lanes, [&](std::size_t lane) {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed); k < n;
+         k = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(lane, k);
+    }
+  });
+}
+
+void ParallelTrainer::largest_first(const std::vector<std::size_t>& indices,
+                                    std::size_t first, std::size_t n,
+                                    std::vector<std::size_t>& out) const {
+  out.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out[k] = k;
+  auto vertices = [&](std::size_t k) {
+    return dataset_.samples[indices[first + k]].num_vertices();
+  };
+  std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t va = vertices(a), vb = vertices(b);
+    return va != vb ? va > vb : a < b;
+  });
+}
+
 void ParallelTrainer::run_slot(std::size_t replica, std::size_t slot,
                                const std::vector<std::size_t>& order,
                                std::size_t begin, std::size_t epoch) {
@@ -103,7 +138,6 @@ void ParallelTrainer::run_slot(std::size_t replica, std::size_t slot,
   // The dropout stream is a function of (seed, epoch, position) only, so
   // masks are independent of the worker that drew them.
   model.reseed_rng(per_sample_seed(options_.seed, epoch, position));
-  for (nn::Parameter* p : params) p->grad.fill(0.0);
 
   nn::NllLoss loss;
   if (timing_) {
@@ -124,9 +158,9 @@ void ParallelTrainer::run_slot(std::size_t replica, std::size_t slot,
     model.backward(loss.backward());
   }
 
-  // Hand the per-sample gradients to the reducer without copying; the slot
-  // buffer (same shapes, contents stale) becomes the replica's next grad
-  // storage and is zeroed above before reuse.
+  // Hand the per-sample gradients to the step pass without copying; the
+  // slot buffer, which that pass left zeroed, becomes the replica's next
+  // grad storage.
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::swap(params[i]->grad, slot_grads_[slot][i]);
   }
@@ -135,19 +169,34 @@ void ParallelTrainer::run_slot(std::size_t replica, std::size_t slot,
 void ParallelTrainer::run_chunk(const std::vector<std::size_t>& order,
                                 std::size_t begin, std::size_t end,
                                 std::size_t epoch) {
-  const std::size_t chunk = end - begin;
-  const std::size_t lanes = std::min(threads_, chunk);
-  if (lanes <= 1 || !pool_) {
-    for (std::size_t slot = 0; slot < chunk; ++slot) {
-      run_slot(0, slot, order, begin, epoch);
-    }
-    return;
-  }
-  pool_->parallel_for(lanes, [&](std::size_t r) {
-    for (std::size_t slot = r; slot < chunk; slot += lanes) {
-      run_slot(r, slot, order, begin, epoch);
-    }
+  largest_first(order, begin, end - begin, claim_order_);
+  for_each_claimed(claim_order_.size(), [&](std::size_t lane, std::size_t k) {
+    run_slot(lane, claim_order_[k], order, begin, epoch);
   });
+}
+
+void ParallelTrainer::step_shard(const Shard& shard, std::size_t chunk,
+                                 nn::Adam& optimizer) {
+  nn::Parameter& master = *master_params_[shard.param];
+  double* grad = master.grad.data();
+  // Ascending slot order onto the zeroed master gradient: the same
+  // additions, in the same order, as one whole-tensor `grad += slot` per
+  // slot.
+  for (std::size_t slot = 0; slot < chunk; ++slot) {
+    const double* g = slot_grads_[slot][shard.param].data();
+    for (std::size_t j = shard.lo; j < shard.hi; ++j) grad[j] += g[j];
+  }
+  optimizer.step_range(shard.param, shard.lo, shard.hi);
+  std::fill(grad + shard.lo, grad + shard.hi, 0.0);
+  const double* value = master.value.data();
+  for (auto& params : replica_params_) {
+    std::copy(value + shard.lo, value + shard.hi,
+              params[shard.param]->value.data() + shard.lo);
+  }
+  for (std::size_t slot = 0; slot < chunk; ++slot) {
+    double* g = slot_grads_[slot][shard.param].data();
+    std::fill(g + shard.lo, g + shard.hi, 0.0);
+  }
 }
 
 TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices,
@@ -174,6 +223,20 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
     }
   }
   slot_loss_.assign(max_chunk_, 0.0);
+  claim_order_.reserve(max_chunk_);
+  shards_.clear();
+  for (std::size_t i = 0; i < master_params_.size(); ++i) {
+    const std::size_t size = master_params_[i]->value.size();
+    for (std::size_t lo = 0; lo < size; lo += kShardElements) {
+      shards_.push_back({i, lo, std::min(lo + kShardElements, size)});
+    }
+  }
+  // The step pass keeps every gradient buffer zero between steps; start
+  // from that state whatever an earlier run or caller left behind.
+  optimizer.zero_grad();
+  for (auto& params : replica_params_) {
+    for (nn::Parameter* p : params) p->zero_grad();
+  }
   if constexpr (kObsCompiled) {
     timing_ = obs::enabled();
     if (timing_) {
@@ -227,36 +290,33 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
     double forward_ms = 0.0, backward_ms = 0.0, reduce_ms = 0.0,
            optimizer_ms = 0.0;
     util::Timer epoch_timer;  // read only while timing_
-    optimizer.zero_grad();
     for (std::size_t begin = 0; begin < order.size(); begin += max_chunk_) {
       const std::size_t end = std::min(begin + max_chunk_, order.size());
+      const std::size_t chunk = end - begin;
       run_chunk(order, begin, end, epoch);
       if constexpr (kObsCompiled) {
         if (timing_) {
-          for (std::size_t slot = 0; slot < end - begin; ++slot) {
+          for (std::size_t slot = 0; slot < chunk; ++slot) {
             forward_ms += slot_forward_ms_[slot];
             backward_ms += slot_backward_ms_[slot];
           }
         }
       }
       util::Timer phase_timer;
-      // Deterministic reduction: slot order == sample-index order, for
-      // every thread count.
-      for (std::size_t slot = 0; slot < end - begin; ++slot) {
-        epoch_loss += slot_loss_[slot];
-        for (std::size_t i = 0; i < master_params_.size(); ++i) {
-          master_params_[i]->grad += slot_grads_[slot][i];
-        }
-      }
-      if constexpr (kObsCompiled) {
-        if (timing_) reduce_ms += phase_timer.millis();
-      }
-      phase_timer.reset();
-      optimizer.step();
-      optimizer.zero_grad();
-      sync_replicas();
+      for (std::size_t slot = 0; slot < chunk; ++slot) epoch_loss += slot_loss_[slot];
+      optimizer.begin_step();
       if constexpr (kObsCompiled) {
         if (timing_) optimizer_ms += phase_timer.millis();
+      }
+      // Reduce, Adam, zero and replica sync in one pass over the shards;
+      // within an element the slot sum runs in slot order for every thread
+      // count.
+      phase_timer.reset();
+      for_each_claimed(shards_.size(), [&](std::size_t, std::size_t k) {
+        step_shard(shards_[k], chunk, optimizer);
+      });
+      if constexpr (kObsCompiled) {
+        if (timing_) reduce_ms += phase_timer.millis();
       }
     }
     if constexpr (kObsCompiled) {
@@ -330,23 +390,16 @@ EvalResult ParallelTrainer::evaluate(const std::vector<std::size_t>& indices) {
   const std::size_t n = indices.size();
   result.probabilities.assign(n, {});
   result.labels.assign(n, 0);
-  const std::size_t lanes = std::min(threads_, n == 0 ? std::size_t{1} : n);
-
-  auto score_range = [&](std::size_t r, std::size_t stride) {
-    DgcnnModel& model = *replicas_[r];
-    for (std::size_t pos = r; pos < n; pos += stride) {
-      const acfg::Acfg& sample = dataset_.samples[indices[pos]];
-      const nn::Tensor log_probs = model.forward(sample);
-      const nn::Tensor p = nn::exp_probs(log_probs);
-      result.probabilities[pos].assign(p.data(), p.data() + p.size());
-      result.labels[pos] = static_cast<std::size_t>(sample.label);
-    }
-  };
-  if (lanes <= 1 || !pool_) {
-    score_range(0, 1);
-  } else {
-    pool_->parallel_for(lanes, [&](std::size_t r) { score_range(r, lanes); });
-  }
+  std::vector<std::size_t> claim_order;
+  largest_first(indices, 0, n, claim_order);
+  for_each_claimed(n, [&](std::size_t lane, std::size_t k) {
+    const std::size_t pos = claim_order[k];
+    const acfg::Acfg& sample = dataset_.samples[indices[pos]];
+    const nn::Tensor log_probs = replicas_[lane]->forward(sample);
+    const nn::Tensor p = nn::exp_probs(log_probs);
+    result.probabilities[pos].assign(p.data(), p.data() + p.size());
+    result.labels[pos] = static_cast<std::size_t>(sample.label);
+  });
   // Confusion is rebuilt serially in sample order, so the result matches
   // the serial evaluate_model exactly.
   for (std::size_t pos = 0; pos < n; ++pos) {

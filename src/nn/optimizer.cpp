@@ -48,19 +48,29 @@ Adam::Adam(std::vector<Parameter*> params, double lr, double beta1, double beta2
 }
 
 void Adam::step() {
-  ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  begin_step();
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      const double g = p.grad[j] + weight_decay_ * p.value[j];
-      m_[i][j] = beta1_ * m_[i][j] + (1.0 - beta1_) * g;
-      v_[i][j] = beta2_ * v_[i][j] + (1.0 - beta2_) * g * g;
-      const double mhat = m_[i][j] / bc1;
-      const double vhat = v_[i][j] / bc2;
-      p.value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    step_range(i, 0, params_[i]->value.size());
+  }
+}
+
+void Adam::begin_step() {
+  ++t_;
+  bias_correction1_ = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  bias_correction2_ = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+}
+
+void Adam::step_range(std::size_t param, std::size_t lo, std::size_t hi) {
+  Parameter& p = *params_[param];
+  Tensor& m = m_[param];
+  Tensor& v = v_[param];
+  for (std::size_t j = lo; j < hi; ++j) {
+    const double g = p.grad[j] + weight_decay_ * p.value[j];
+    m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
+    v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
+    const double mhat = m[j] / bias_correction1_;
+    const double vhat = v[j] / bias_correction2_;
+    p.value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
   }
 }
 

@@ -46,6 +46,12 @@ class Sgd : public Optimizer {
 };
 
 /// Adam with bias correction.
+///
+/// One update can also be split: begin_step() advances the step count,
+/// then step_range() updates elements [lo, hi) of one parameter. Every
+/// element's update reads only its own gradient, value and moments, so any
+/// split, in any order or across threads, gives the same bits as step(),
+/// which is begin_step() plus step_range() over every whole parameter.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Parameter*> params, double lr, double beta1 = 0.9,
@@ -53,11 +59,18 @@ class Adam : public Optimizer {
 
   void step() override;
 
+  void begin_step();
+  /// Updates elements [lo, hi) of parameter `param` (an index into the
+  /// constructor's list); lo == hi is a no-op.
+  void step_range(std::size_t param, std::size_t lo, std::size_t hi);
+
  private:
   double beta1_;
   double beta2_;
   double eps_;
   std::size_t t_ = 0;
+  double bias_correction1_ = 1.0;  // 1 - beta1^t, set by begin_step()
+  double bias_correction2_ = 1.0;  // 1 - beta2^t
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
 };

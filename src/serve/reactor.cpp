@@ -171,6 +171,11 @@ struct Conn {
 constexpr std::uint64_t kListenerTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
 
+// The longest unterminated line a connection may buffer: far above any
+// base64 listing a client sends, and a bound on what one peer streaming
+// bytes without a '\n' can make the daemon hold.
+constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
 class Reactor {
  public:
   Reactor(ScanService& service, const DaemonOptions& options,
@@ -424,6 +429,9 @@ class Reactor {
       if (nl != std::string::npos) {
         line = conn.in.substr(conn.in_start, nl - conn.in_start);
         conn.in_start = nl + 1;
+      } else if (conn.in.size() - conn.in_start > kMaxLineBytes) {
+        reject_overlong_line(conn);
+        break;
       } else if (conn.saw_eof && conn.in_start < conn.in.size()) {
         line = conn.in.substr(conn.in_start);
         conn.in_start = conn.in.size();
@@ -444,6 +452,24 @@ class Reactor {
       conn.read_closed = true;
       stop_reading(conn);
     }
+  }
+
+  /// A line past kMaxLineBytes: one error response, the buffered bytes
+  /// released, and no further reads on the connection, which closes once
+  /// the responses before and including this one are written.
+  void reject_overlong_line(Conn& conn) {
+    auto entry = std::make_shared<Entry>();
+    Verdict verdict;
+    verdict.status = VerdictStatus::Error;
+    verdict.error = "request line longer than " + std::to_string(kMaxLineBytes) +
+                    " bytes; closing the connection";
+    entry->line = wire::verdict_to_json(entry->id, verdict);
+    entry->ready.store(true, std::memory_order_release);
+    conn.pending.push_back(std::move(entry));
+    std::string().swap(conn.in);
+    conn.in_start = 0;
+    conn.in_scanned = 0;
+    conn.read_closed = true;
   }
 
   void stop_reading(Conn& conn) {

@@ -22,6 +22,9 @@
 //    so a fast pipelining writer can neither balloon the input buffer
 //    ahead of parsing nor monopolize the loop (level-triggered epoll
 //    re-delivers the remainder);
+//  - a line with no '\n' after 64 MiB (kMaxLineBytes) is answered with
+//    one error line; the connection then stops reading and closes, so the
+//    buffered input of one connection is bounded too;
 //  - a connection paused behind an in-flight `reload`/`shadow` barrier
 //    stays paused until the control's completion hook wakes the loop — a
 //    blocking reload never spins it;

@@ -3,13 +3,17 @@
 // truncation / tamper must all be rejected at open, with descriptive
 // errors, never by serving garbage).
 
+#include <sys/resource.h>
+
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -249,6 +253,52 @@ TEST_F(CorpusFileTest, RejectsFileSmallerThanHeader) {
 
 TEST_F(CorpusFileTest, RejectsMissingFile) {
   EXPECT_THROW(PackedCorpus{"/nonexistent/nope.mgc"}, std::runtime_error);
+}
+
+/// Peak resident set size of this process so far, in KiB (Linux ru_maxrss).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// The header's counts lie outside the payload hash, so a one-word edit of a
+// valid file passes every integrity check before them. Each count must be
+// checked against the bytes its table can hold before anything is sized
+// from it; sized unchecked, 2^40 families or samples asks the allocator
+// for tens of TiB.
+TEST_F(CorpusFileTest, HugeHeaderCountsThrowWithoutAllocating) {
+  const std::string valid = temp_path();
+  pack_corpus(make_corpus(), valid);
+  std::string contents;
+  {
+    std::ifstream f(valid, std::ios::binary);
+    contents.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  // Offsets after the 8-byte magic: version, endian tag, file size,
+  // num_samples, num_families.
+  const std::vector<std::pair<std::string, std::size_t>> cases = {
+      {"family count", 8 + 4 * 8}, {"sample count", 8 + 3 * 8}};
+  const long before = peak_rss_kib();
+  for (const auto& [what, offset] : cases) {
+    std::string edited = contents;
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(edited.data() + offset, &huge, sizeof(huge));
+    const std::string path = temp_path();
+    {
+      std::ofstream f(path, std::ios::binary);
+      f.write(edited.data(), static_cast<std::streamsize>(edited.size()));
+    }
+    try {
+      PackedCorpus corpus(path);
+      ADD_FAILURE() << what << ": expected rejection";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
+  // 64 MiB: far above what opening a few-KiB corpus needs, far below any
+  // allocation sized by one of the counts above.
+  EXPECT_LT(peak_rss_kib() - before, 64L * 1024) << "peak RSS grew while loading";
 }
 
 TEST_F(CorpusFileTest, PackRejectsMixedChannelWidths) {

@@ -1,6 +1,8 @@
 #include "nn/optimizer.hpp"
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -62,6 +64,50 @@ TEST(Adam, FirstStepIsLearningRateSized) {
   w.grad[0] = 123.0;  // any positive gradient
   adam.step();
   EXPECT_NEAR(w.value[0], -0.01, 1e-6);
+}
+
+TEST(Adam, SplitStepIsBitwiseEqualToStep) {
+  // Two identical parameter sets: one stepped whole, one by begin_step()
+  // plus step_range() over uneven pieces, some empty, taken out of order.
+  util::Rng rng(17);
+  const std::vector<std::size_t> sizes = {13, 1, 7};
+  std::vector<nn::Parameter> whole, split;
+  for (std::size_t n : sizes) {
+    Tensor init(tensor::Shape{n});
+    for (std::size_t j = 0; j < n; ++j) init[j] = rng.normal();
+    whole.emplace_back("w", init);
+    split.emplace_back("w", init);
+  }
+  auto pointers = [](std::vector<nn::Parameter>& params) {
+    std::vector<nn::Parameter*> out;
+    for (nn::Parameter& p : params) out.push_back(&p);
+    return out;
+  };
+  nn::Adam a(pointers(whole), 0.01, 0.9, 0.999, 1e-8, /*weight_decay=*/5e-4);
+  nn::Adam b(pointers(split), 0.01, 0.9, 0.999, 1e-8, /*weight_decay=*/5e-4);
+  // (param, lo, hi); every element of every parameter exactly once.
+  const std::vector<std::array<std::size_t, 3>> pieces = {
+      {2, 4, 7}, {0, 0, 0}, {0, 9, 13}, {1, 0, 1}, {0, 0, 5},
+      {2, 0, 4}, {1, 1, 1}, {0, 5, 9},  {2, 7, 7}};
+  for (int step = 0; step < 6; ++step) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      for (std::size_t j = 0; j < sizes[i]; ++j) {
+        const double g = rng.normal();
+        whole[i].grad[j] = g;
+        split[i].grad[j] = g;
+      }
+    }
+    a.step();
+    b.begin_step();
+    for (const auto& [param, lo, hi] : pieces) b.step_range(param, lo, hi);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      for (std::size_t j = 0; j < sizes[i]; ++j) {
+        // EXPECT_EQ on doubles: the same bits, not approximate agreement.
+        EXPECT_EQ(whole[i].value[j], split[i].value[j])
+            << "step " << step << " param " << i << " element " << j;
+      }
+    }
+  }
 }
 
 TEST(Optimizer, WeightDecayPullsTowardZero) {

@@ -4,6 +4,7 @@
 // every connection fd, not just the listener), and the socket-file guards
 // (never unlink a path the daemon does not own).
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -427,6 +428,101 @@ TEST(Reactor, LongLineInSmallReadsIngestsInLinearTime) {
   EXPECT_NE(received.find("\"reactor\":{"), std::string::npos) << received;
   EXPECT_LT(elapsed, 4s) << "32 MiB line ingest took "
                          << std::chrono::duration<double>(elapsed).count() << " s";
+}
+
+/// Peak resident set size of this process so far, in KiB (Linux ru_maxrss).
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// A peer that streams bytes without ever sending '\n' must not grow the
+// daemon without bound: past the 64 MiB line cap it gets one error line
+// and the connection closes. stdio mode runs the same reactor, so this
+// covers it too.
+TEST(Reactor, OverlongLineIsRejectedWithBoundedMemory) {
+  auto registry = one_version_registry(reactor_config());
+  const std::string socket_path = unique_socket_path("overlong");
+  std::atomic<bool> stop{false};
+  DaemonOptions options;
+  options.socket_path = socket_path;
+  options.handle_signals = false;
+  options.external_stop = &stop;
+  std::thread daemon([&] { run_unix_daemon(*registry, options); });
+
+  int fd = -1;
+  for (int attempt = 0; attempt < 300 && fd < 0; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(10ms);
+    }
+  }
+  ASSERT_GE(fd, 0);
+  // A daemon that never answers fails the test instead of hanging it.
+  const timeval receive_timeout{20, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &receive_timeout, sizeof(receive_timeout));
+
+  const long rss_before = peak_rss_kib();
+  // One ordinary scan, then up to 256 MiB with no '\n'. The sender stops
+  // when the daemon closes the connection; if it never does, the end of
+  // input makes the bytes one final line.
+  std::thread sender([fd] {
+    std::string scan = "ok1 b64 ";
+    scan += wire::base64_encode(kListing);
+    scan += '\n';
+    const std::string piece(64 * 1024, 'x');
+    bool open = ::send(fd, scan.data(), scan.size(), MSG_NOSIGNAL) ==
+                static_cast<ssize_t>(scan.size());
+    for (std::size_t sent = 0; open && sent < (std::size_t{256} << 20);) {
+      const ssize_t n = ::send(fd, piece.data(), piece.size(), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      open = n > 0;
+      if (open) sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::string received;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  sender.join();
+  ::close(fd);
+  stop.store(true);
+  daemon.join();
+
+  // The scan's verdict, then exactly one error for the overlong line.
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 2) << received.substr(0, 512);
+  const std::string first = received.substr(0, received.find('\n'));
+  EXPECT_NE(first.find("\"ok1\""), std::string::npos) << first;
+  EXPECT_NE(first.find("\"ok\""), std::string::npos) << first;
+  const std::string second = received.substr(first.size() + 1);
+  EXPECT_NE(second.find("\"error\""), std::string::npos) << second;
+  EXPECT_NE(second.find("longer than"), std::string::npos) << second;
+  // The line buffer may reach the cap plus one read, and doubling a
+  // std::string copies it once: well under 160 MiB, where an uncapped
+  // buffer holding the whole 256 MiB is not. Sanitizers multiply resident
+  // memory: TSan maps about four shadow bytes per application byte, and
+  // ASan holds freed buffers in quarantine.
+#if defined(__SANITIZE_THREAD__)
+  constexpr long kSanitizerScale = 5;
+#elif defined(__SANITIZE_ADDRESS__)
+  constexpr long kSanitizerScale = 2;
+#else
+  constexpr long kSanitizerScale = 1;
+#endif
+  EXPECT_LT(peak_rss_kib() - rss_before, kSanitizerScale * 160L * 1024)
+      << "peak RSS grew with the line";
 }
 
 TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
