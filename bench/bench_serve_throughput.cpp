@@ -50,6 +50,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "acfg/extractor.hpp"
@@ -431,8 +432,12 @@ int main(int argc, char** argv) {
     const std::vector<std::string> listings =
         make_listings(max_conns, opt.seed ^ 0xC0117);
     for (std::size_t i = 0; i < listings.size(); ++i) {
-      requests.push_back("q" + std::to_string(i) + " b64 " +
-                         serve::wire::base64_encode(listings[i]));
+      // Appended rather than `"q" + std::to_string(i) + ...`, which GCC 12
+      // reports under -Wrestrict.
+      std::string line = "q";
+      line.append(std::to_string(i)).append(" b64 ");
+      line.append(serve::wire::base64_encode(listings[i]));
+      requests.push_back(std::move(line));
     }
     util::Table conn_table({"Connections", "Connect (s)", "Serve (s)",
                             "Throughput (req/s)", "OK"});

@@ -87,7 +87,9 @@ std::string log_timestamp() {
                       1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  // Sized for the widest values of the int fields (11 characters each), so
+  // GCC's -Wformat-truncation can prove the write fits.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(millis));

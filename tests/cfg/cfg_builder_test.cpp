@@ -170,7 +170,9 @@ TEST(ControlFlowGraph, DotExportMentionsAllBlocks) {
   const std::string dot = g.to_dot();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   for (const auto& b : g.blocks()) {
-    EXPECT_NE(dot.find("b" + std::to_string(b.id)), std::string::npos);
+    // Appended, not `"b" + std::to_string(...)`: GCC 12 reports that form
+    // under -Wrestrict.
+    EXPECT_NE(dot.find(std::string("b").append(std::to_string(b.id))), std::string::npos);
   }
 }
 

@@ -55,6 +55,14 @@ std::string unique_socket_path(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
+/// "<tag><r> b64 <payload>", built by appending: GCC 12 reports a chain of
+/// `"x" + std::to_string(r) + ...` temporaries under -Wrestrict.
+std::string scan_line(char tag, int r, const std::string& b64) {
+  std::string line(1, tag);
+  line.append(std::to_string(r)).append(" b64 ").append(b64);
+  return line;
+}
+
 std::unique_ptr<wire::UnixClient> connect_retry(const std::string& path) {
   for (int attempt = 0; attempt < 300; ++attempt) {
     try {
@@ -218,7 +226,7 @@ TEST(Reactor, TinyPendingWindowBackpressureKeepsOrder) {
   constexpr int kRequests = 64;
   const std::string b64 = wire::base64_encode(kListing);
   for (int r = 0; r < kRequests; ++r) {
-    client->send_line("b" + std::to_string(r) + " b64 " + b64);
+    client->send_line(scan_line('b', r, b64));
   }
   client->finish_sending();
   std::vector<std::string> lines;
@@ -338,7 +346,7 @@ TEST(Reactor, TinyReadChunkBudgetStillServesPipelinedBurst) {
   constexpr int kRequests = 48;
   const std::string b64 = wire::base64_encode(kListing);
   for (int r = 0; r < kRequests; ++r) {
-    client->send_line("t" + std::to_string(r) + " b64 " + b64);
+    client->send_line(scan_line('t', r, b64));
   }
   client->finish_sending();
   std::vector<std::string> lines;
@@ -541,7 +549,7 @@ TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
   ASSERT_NE(client, nullptr);
   const std::string b64 = wire::base64_encode(kListing);
   for (int r = 0; r < 32; ++r) {
-    client->send_line("n" + std::to_string(r) + " b64 " + b64);
+    client->send_line(scan_line('n', r, b64));
   }
   // Never read a single response; the daemon must still drain in bounded
   // time (grace period + stall timeout, not forever).

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "magic/classifier.hpp"
+#include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
 #include "serve/registry.hpp"
 #include "serve/serve_test_util.hpp"
@@ -54,11 +55,11 @@ const std::string& shared_checkpoint() {
   return path;
 }
 
-std::unique_ptr<ModelRegistry> make_registry(const std::string& name = "v1") {
+std::unique_ptr<ModelRegistry> make_registry(const std::string& name = "v1",
+                                             const ServeConfig& config = registry_config()) {
   auto model = std::make_unique<core::MagicClassifier>(
       core::MagicClassifier::load(shared_checkpoint()));
-  return std::make_unique<ModelRegistry>(name, std::move(model),
-                                         registry_config());
+  return std::make_unique<ModelRegistry>(name, std::move(model), config);
 }
 
 TEST(ModelRegistry, ScansRouteToDefaultVersion) {
@@ -177,6 +178,29 @@ TEST(ModelRegistry, ShadowFullFractionMirrorsEveryScanAndAgrees) {
   EXPECT_EQ(stats.shadow_agreed + stats.shadow_failed,
             static_cast<std::uint64_t>(kScans));
   EXPECT_EQ(stats.shadow_disagreed, 0u);
+}
+
+TEST(ModelRegistry, MirroredListingIsExtractedOnce) {
+#ifndef MAGIC_OBS_BUILD
+  GTEST_SKIP() << "extract.graphs is counted only in MAGIC_OBS builds";
+#endif
+  obs::Counter& extracted = obs::MetricsRegistry::global().counter("extract.graphs");
+  for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{8} << 20}) {
+    ServeConfig config = registry_config();
+    config.cache_bytes = cache_bytes;
+    auto registry = make_registry("v1", config);
+    registry->load_version("v2", shared_checkpoint(), /*make_default=*/false);
+    registry->set_shadow("v2", 1.0);
+    obs::set_enabled(true);
+    const std::uint64_t before = extracted.value();
+    const Verdict verdict = registry->submit_listing(kListing, "").get();
+    registry->drain();
+    obs::set_enabled(false);
+    EXPECT_TRUE(verdict.ok()) << verdict.error;
+    EXPECT_EQ(registry->registry_stats().shadow_mirrored, 1u);
+    EXPECT_EQ(registry->registry_stats().shadow_agreed, 1u);
+    EXPECT_EQ(extracted.value() - before, 1u) << "cache_bytes " << cache_bytes;
+  }
 }
 
 TEST(ModelRegistry, ShadowFractionIsDeterministicallyExact) {

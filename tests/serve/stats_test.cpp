@@ -33,6 +33,7 @@ TEST(ServerStats, ToJsonGolden) {
   s.latency_max_ms = 4.0;
   s.cache.enabled = true;
   s.cache.hits = 3;
+  s.cache.listing_hits = 2;
   s.cache.misses = 7;
   s.cache.insertions = 7;
   s.cache.entries = 7;
@@ -46,7 +47,7 @@ TEST(ServerStats, ToJsonGolden) {
             "\"batch_size_counts\":[0,2,1],"
             "\"latency_ms\":{\"p50\":1.5,\"p95\":2.5,\"p99\":3.5,"
             "\"mean\":2,\"max\":4},"
-            "\"cache\":{\"enabled\":true,\"hits\":3,\"misses\":7,"
+            "\"cache\":{\"enabled\":true,\"hits\":3,\"listing_hits\":2,\"misses\":7,"
             "\"hit_rate\":0.3,\"insertions\":7,\"evictions\":0,"
             "\"oversized\":0,\"entries\":7,\"bytes\":4096,"
             "\"max_bytes\":1048576}}");
