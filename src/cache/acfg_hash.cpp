@@ -125,10 +125,15 @@ CacheKey acfg_content_hash(const acfg::Acfg& sample) {
   return CacheKey{lane(kSeedLaneHi), lane(kSeedLaneLo)};
 }
 
-CacheKey bytes_content_hash(const void* data, std::size_t size) {
+namespace {
+
+/// The raw-bytes lane walk behind bytes_content_hash and keyed_bytes_hash,
+/// from the two starting lane seeds.
+CacheKey hash_bytes(std::uint64_t seed_hi, std::uint64_t seed_lo, const void* data,
+                    std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t hi = chain(kSeedBytes ^ kSeedLaneHi, size);
-  std::uint64_t lo = chain(kSeedBytes ^ kSeedLaneLo, size);
+  std::uint64_t hi = chain(seed_hi, size);
+  std::uint64_t lo = chain(seed_lo, size);
   std::size_t i = 0;
   for (; i + 8 <= size; i += 8) {
     std::uint64_t word = 0;
@@ -145,6 +150,17 @@ CacheKey bytes_content_hash(const void* data, std::size_t size) {
   hi = fmix64(chain(hi, tail));
   lo = fmix64(chain(lo, tail ^ 0xA5A5A5A5A5A5A5A5ULL));
   return CacheKey{hi, lo};
+}
+
+}  // namespace
+
+CacheKey bytes_content_hash(const void* data, std::size_t size) {
+  return hash_bytes(kSeedBytes ^ kSeedLaneHi, kSeedBytes ^ kSeedLaneLo, data, size);
+}
+
+CacheKey keyed_bytes_hash(const CacheKey& secret, const void* data, std::size_t size) {
+  return hash_bytes(kSeedBytes ^ kSeedLaneHi ^ secret.hi,
+                    kSeedBytes ^ kSeedLaneLo ^ secret.lo, data, size);
 }
 
 }  // namespace magic::cache

@@ -79,4 +79,12 @@ CacheKey acfg_content_hash(const acfg::Acfg& sample);
 /// it as its payload integrity stamp). Not canonical — byte order matters.
 CacheKey bytes_content_hash(const void* data, std::size_t size);
 
+/// bytes_content_hash with `secret` folded into both starting lanes. Each
+/// chaining step can be inverted, so anyone who knows the lane states can
+/// solve for one word per message that makes two chosen inputs collide;
+/// the secret keeps the states unknown. Use it wherever the hashed bytes
+/// come from an adversary and a collision would change an answer (the
+/// serve-side listing key); same secret, same bytes, same key.
+CacheKey keyed_bytes_hash(const CacheKey& secret, const void* data, std::size_t size);
+
 }  // namespace magic::cache

@@ -7,12 +7,15 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "acfg/acfg.hpp"
 #include "cache/acfg_hash.hpp"
+#include "cache/forged_collision.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -164,6 +167,33 @@ TEST(AcfgHash, BytesHashDetectsAnyFlip) {
   }
   // Length is part of the content.
   EXPECT_NE(bytes_content_hash(payload.data(), payload.size() - 1), original);
+}
+
+CacheKey hash_of(const std::string& bytes) {
+  return bytes_content_hash(bytes.data(), bytes.size());
+}
+
+CacheKey keyed_hash_of(const CacheKey& secret, const std::string& bytes) {
+  return keyed_bytes_hash(secret, bytes.data(), bytes.size());
+}
+
+TEST(KeyedBytesHash, SecretSeparatesAForgedUnkeyedCollision) {
+  std::optional<testing::ForgedPair> pair;
+  for (int attempt = 0; !pair && attempt < 1000; ++attempt) {
+    std::string prefix = "pad " + std::to_string(attempt);
+    prefix.resize(16, '.');
+    pair = testing::forge_collision(prefix, "benign..listing.", " shared tail");
+  }
+  ASSERT_TRUE(pair.has_value());
+  ASSERT_NE(pair->first, pair->second);
+  // Anyone can forge a collision of the unkeyed hash...
+  EXPECT_EQ(hash_of(pair->first), hash_of(pair->second));
+  // ...but not of the keyed one without its secret.
+  const CacheKey secret{0x0123456789ABCDEFull, 0x0F1E2D3C4B5A6978ull};
+  EXPECT_NE(keyed_hash_of(secret, pair->first), keyed_hash_of(secret, pair->second));
+  EXPECT_EQ(keyed_hash_of(secret, pair->first), keyed_hash_of(secret, pair->first));
+  // A zero secret is the unkeyed hash, so .mgc stamps keep their values.
+  EXPECT_EQ(keyed_hash_of(CacheKey{}, pair->first), hash_of(pair->first));
 }
 
 TEST(CacheKeyBasics, HexAndOrdering) {
